@@ -91,6 +91,14 @@ from .routes import (
     factor_zx_via_fraction_field,
     factor_zx_via_laurent,
 )
-from .selftest import run_selftest
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the selftest suites are loaded on first use, not by every CLI request
+    if name == "run_selftest":
+        from .selftest import run_selftest
+
+        return run_selftest
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

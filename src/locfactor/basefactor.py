@@ -5,7 +5,8 @@ These are the base oracles everything else is cross-checked against:
 * ``factor_integer``     -- trial division over Z
 * ``kronecker_factor``   -- primitive integer polynomials, by evaluation /
                             divisor interpolation (desk scale: degree <= 16,
-                            coefficients <= 10**6)
+                            coefficients <= 10**6); inside ``request_memo``
+                            each distinct input is searched once
 * ``factor_poly_zx``     -- content split + Kronecker on the primitive part
 * ``factor_poly_qx``     -- Q[X] via denominator clearing
 * ``factor_bivariate``   -- Z[X][Y] by packing Y -> X^D and regrouping the
@@ -18,8 +19,10 @@ multiset (stored as a sorted tuple) of canonical irreducible factors, so that
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -42,6 +45,12 @@ from .rings import (
 KRONECKER_DEGREE_CAP = 16
 KRONECKER_COEFF_CAP = 10**6
 BIVARIATE_DEGREE_CAP = 4
+
+# Kronecker answers of the open request, keyed on the input Poly; None when
+# no request is open
+_REQUEST_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
+    "locfactor_request_memo", default=None
+)
 
 
 @dataclass(frozen=True)
@@ -320,12 +329,51 @@ def _find_proper_factor(g: Poly) -> Optional[Poly]:
     return None
 
 
+@contextmanager
+def request_memo():
+    """Share ``kronecker_factor`` answers for the duration of one request.
+
+    Opens a fresh memo, or joins the one already open.  The scope that opened
+    the memo discards it on exit, also when the request raises.
+    """
+    if _REQUEST_MEMO.get() is not None:
+        yield
+        return
+    token = _REQUEST_MEMO.set({})
+    try:
+        yield
+    finally:
+        _REQUEST_MEMO.reset(token)
+
+
+@contextmanager
+def memo_bypassed():
+    """Hide the open memo, so every Kronecker answer is recomputed."""
+    token = _REQUEST_MEMO.set(None)
+    try:
+        yield
+    finally:
+        _REQUEST_MEMO.reset(token)
+
+
 def kronecker_factor(p: Poly) -> PrimeFactorization:
     """Factor a primitive integer polynomial into canonical irreducibles.
 
     Irreducibility of every emitted factor is certified by exhausting all
-    candidate divisors of degree up to half the factor's degree.
+    candidate divisors of degree up to half the factor's degree.  Inside
+    ``request_memo`` each distinct input is searched once; only successful
+    answers are kept.
     """
+    memo = _REQUEST_MEMO.get()
+    if memo is None:
+        return _kronecker_factor_uncached(p)
+    pf = memo.get(p)
+    if pf is None:
+        pf = memo[p] = _kronecker_factor_uncached(p)
+    return pf
+
+
+def _kronecker_factor_uncached(p: Poly) -> PrimeFactorization:
     if not p.coeffs:
         raise MathDomainError("cannot factor zero")
     if poly_content(p) != 1:

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import expr
-from .basefactor import PrimeFactorization, factor_bivariate, factor_integer, factor_poly_zx
+from .basefactor import (
+    PrimeFactorization,
+    factor_bivariate,
+    factor_integer,
+    factor_poly_zx,
+    request_memo,
+)
 from .errors import LocFactorError, OracleViolationError, ParseError
 from .rings import LT, ZX, ZXY, ZZ, Ring
 from .routes import (
@@ -33,7 +39,6 @@ from .routes import (
     factor_zx_via_laurent,
     laurent_certificates,
 )
-from .selftest import run_selftest
 
 JSON_SCHEMA_VERSION = "1"
 
@@ -58,36 +63,41 @@ class FactorOutcome:
 
 
 def run_factor(ring: Ring, element, route: str) -> FactorOutcome:
-    """Dispatch to the engine matching the ring and requested route."""
+    """Dispatch to the engine matching the ring and requested route.
+
+    The dispatch runs inside one request memo, so each distinct primitive
+    polynomial goes through the Kronecker search once.
+    """
     t0 = time.perf_counter()
-    if ring == ZZ:
-        if route not in ("auto", "direct"):
-            raise UsageError(f"route {route!r} is not available for integers")
-        out = FactorOutcome(ring, "direct", factor_integer(element), None, 0.0)
-    elif ring == ZX:
-        if route in ("auto", "fracfield"):
-            res = factor_zx_via_fraction_field(element)
-            out = FactorOutcome(ring, "fracfield", res.factorization, res.certificates, 0.0)
-        elif route == "laurent":
-            res = factor_zx_via_laurent(element)
-            out = FactorOutcome(ring, "laurent", res.factorization, res.certificates, 0.0)
+    with request_memo():
+        if ring == ZZ:
+            if route not in ("auto", "direct"):
+                raise UsageError(f"route {route!r} is not available for integers")
+            out = FactorOutcome(ring, "direct", factor_integer(element), None, 0.0)
+        elif ring == ZX:
+            if route in ("auto", "fracfield"):
+                res = factor_zx_via_fraction_field(element)
+                out = FactorOutcome(ring, "fracfield", res.factorization, res.certificates, 0.0)
+            elif route == "laurent":
+                res = factor_zx_via_laurent(element)
+                out = FactorOutcome(ring, "laurent", res.factorization, res.certificates, 0.0)
+            else:
+                out = FactorOutcome(ring, "direct", factor_poly_zx(element), None, 0.0)
+        elif ring == LT:
+            if route == "fracfield":
+                raise UsageError("route 'fracfield' is not available for Laurent input")
+            pf = factor_laurent(element)
+            out = FactorOutcome(ring, "laurent", pf, laurent_certificates(pf), 0.0)
+        elif ring == ZXY:
+            if route in ("auto", "fracfield"):
+                res = factor_iterated(element)
+                out = FactorOutcome(ring, "iterated", res.factorization, res.certificates, 0.0)
+            elif route == "direct":
+                out = FactorOutcome(ring, "direct", factor_bivariate(element), None, 0.0)
+            else:
+                raise UsageError(f"route {route!r} is not available for bivariate input")
         else:
-            out = FactorOutcome(ring, "direct", factor_poly_zx(element), None, 0.0)
-    elif ring == LT:
-        if route == "fracfield":
-            raise UsageError("route 'fracfield' is not available for Laurent input")
-        pf = factor_laurent(element)
-        out = FactorOutcome(ring, "laurent", pf, laurent_certificates(pf), 0.0)
-    elif ring == ZXY:
-        if route in ("auto", "fracfield"):
-            res = factor_iterated(element)
-            out = FactorOutcome(ring, "iterated", res.factorization, res.certificates, 0.0)
-        elif route == "direct":
-            out = FactorOutcome(ring, "direct", factor_bivariate(element), None, 0.0)
-        else:
-            raise UsageError(f"route {route!r} is not available for bivariate input")
-    else:
-        raise UsageError(f"cannot factor over {ring.name}")
+            raise UsageError(f"cannot factor over {ring.name}")
     elapsed = time.perf_counter() - t0
     pf = out.factorization
     # the rendered report must re-parse to the factored element
@@ -236,6 +246,8 @@ def _do_compare(args) -> int:
 
 
 def _do_selftest(args) -> int:
+    from .selftest import run_selftest  # loaded on demand: factor and compare never need it
+
     report = run_selftest(args.seed, args.trials)
     for line in report.lines:
         print(line)
@@ -249,6 +261,25 @@ def _exit_code_for(e: Exception) -> int:
     if isinstance(e, OracleViolationError):
         return 3
     return 2
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv, reading an expression that starts with "-" as the expression.
+
+    argparse takes "-9*T^-1" for an unknown option; a single such argument
+    left over where the expression belongs is the expression instead.
+    """
+    args, extras = parser.parse_known_args(argv)
+    if (
+        args.command in ("factor", "compare")
+        and args.expr is None
+        and len(extras) == 1
+        and not extras[0].startswith("--")
+    ):
+        args.expr = extras.pop()
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
@@ -270,7 +301,7 @@ def main(argv=None) -> int:
     p_self.add_argument("--trials", type=int, default=100)
 
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
         if args.command == "factor":
             return _do_factor(args)
         if args.command == "compare":

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .basefactor import PrimeFactorization
+from .basefactor import PrimeFactorization, memo_bypassed
 from .errors import (
     DescentInconsistencyError,
     MathDomainError,
@@ -85,18 +85,20 @@ class PrimalityCertificate:
     chain: str = "prime-generated"
 
     def replay(self) -> bool:
-        S = self.submonoid
-        ring = S.ring
-        if self.case == "generator":
-            return ring.is_unit(self.unit) and ring.eq(
-                self.subject, ring.mul(self.unit, S.generators[self.generator_index])
-            )
-        hit = find_associate_generator(S, self.subject)
-        if hit is not None:
-            return False
-        if frac_is_unit(embed(self.subject, S)):
-            return False
-        return self.oracle.is_prime_embedded(self.subject)
+        """Re-derive the certificate from scratch, bypassing any request memo."""
+        with memo_bypassed():
+            S = self.submonoid
+            ring = S.ring
+            if self.case == "generator":
+                return ring.is_unit(self.unit) and ring.eq(
+                    self.subject, ring.mul(self.unit, S.generators[self.generator_index])
+                )
+            hit = find_associate_generator(S, self.subject)
+            if hit is not None:
+                return False
+            if frac_is_unit(embed(self.subject, S)):
+                return False
+            return self.oracle.is_prime_embedded(self.subject)
 
     def detail(self) -> str:
         from . import expr

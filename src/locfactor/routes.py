@@ -32,6 +32,7 @@ from .basefactor import (
     factor_poly_qx,
     factor_poly_zx,
     primitive_part,
+    request_memo,
 )
 from .descent import DescentResult, LocalizationOracle, certify_prime, descend_factor, descend_factor_pou
 from .errors import DeskScaleError, MathDomainError, OracleViolationError
@@ -134,12 +135,13 @@ def factor_zx_via_laurent(f: Poly) -> DescentResult:
     Runs both transfer chains (the submonoid has a single generator) and
     insists they agree.
     """
-    S = powers_of_x_submonoid()
-    oracle = LaurentOracle(S)
-    res = descend_factor(f, S, oracle)
-    res_pou = descend_factor_pou(f, S, oracle)
-    if check_factorization_unique(ZX, res.factorization, res_pou.factorization) is None:
-        raise OracleViolationError("prime-generated and prime-or-unit chains disagree")
+    with request_memo():
+        S = powers_of_x_submonoid()
+        oracle = LaurentOracle(S)
+        res = descend_factor(f, S, oracle)
+        res_pou = descend_factor_pou(f, S, oracle)
+        if check_factorization_unique(ZX, res.factorization, res_pou.factorization) is None:
+            raise OracleViolationError("prime-generated and prime-or-unit chains disagree")
     return res
 
 
@@ -226,9 +228,10 @@ class FieldPolyOracle(LocalizationOracle):
 
 def factor_zx_via_fraction_field(f: Poly) -> DescentResult:
     """Descend a Z[X] factorization from Q[X] through the constant primes."""
-    S = fracfield_submonoid(f)
-    oracle = FieldPolyOracle(S)
-    return descend_factor(f, S, oracle)
+    with request_memo():
+        S = fracfield_submonoid(f)
+        oracle = FieldPolyOracle(S)
+        return descend_factor(f, S, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +330,16 @@ def factor_iterated(f: Poly) -> DescentResult:
         raise DeskScaleError(
             f"desk-scale limit: degrees ({deg_x}, {deg_y}) exceed cap {BIVARIATE_CAP}"
         )
-    direct = factor_bivariate(f)
-    S = iterated_submonoid(f)
-    oracle = RationalCoeffOracle(S)
-    res = descend_factor(f, S, oracle)
-    if check_factorization_unique(ZXY, direct, res.factorization) is None:
-        raise OracleViolationError(
-            "substitution engine and descent disagree: "
-            f"{_render_pf(ZXY, direct)} vs {_render_pf(ZXY, res.factorization)}"
-        )
+    with request_memo():
+        direct = factor_bivariate(f)
+        S = iterated_submonoid(f)
+        oracle = RationalCoeffOracle(S)
+        res = descend_factor(f, S, oracle)
+        if check_factorization_unique(ZXY, direct, res.factorization) is None:
+            raise OracleViolationError(
+                "substitution engine and descent disagree: "
+                f"{_render_pf(ZXY, direct)} vs {_render_pf(ZXY, res.factorization)}"
+            )
     return res
 
 
@@ -372,28 +376,30 @@ def laurent_certificates(pf: PrimeFactorization) -> tuple:
 
 def compare_routes(f: Poly) -> CompareReport:
     """Run the direct engine and both descent routes; insist on pairwise
-    agreement up to associates."""
+    agreement up to associates.  The routes share ``kronecker_factor``
+    answers through one request memo, and nothing else."""
     if ZX.is_zero(f):
         raise MathDomainError("cannot factor zero")
-    runs = []
-    t0 = time.perf_counter()
-    direct = factor_poly_zx(f)
-    runs.append(RouteRun("direct", direct, None, time.perf_counter() - t0))
-    t0 = time.perf_counter()
-    lau = factor_zx_via_laurent(f)
-    runs.append(RouteRun("laurent", lau.factorization, lau.certificates, time.perf_counter() - t0))
-    t0 = time.perf_counter()
-    ff = factor_zx_via_fraction_field(f)
-    runs.append(RouteRun("fracfield", ff.factorization, ff.certificates, time.perf_counter() - t0))
-    agreements = []
-    for i in range(len(runs)):
-        for j in range(i + 1, len(runs)):
-            bij = check_factorization_unique(ZX, runs[i].factorization, runs[j].factorization)
-            if bij is None:
-                raise OracleViolationError(
-                    f"route disagreement between {runs[i].route} and {runs[j].route}: "
-                    f"{_render_pf(ZX, runs[i].factorization)} vs "
-                    f"{_render_pf(ZX, runs[j].factorization)}"
-                )
-            agreements.append((runs[i].route, runs[j].route))
-    return CompareReport(f, tuple(runs), tuple(agreements))
+    with request_memo():
+        runs = []
+        t0 = time.perf_counter()
+        direct = factor_poly_zx(f)
+        runs.append(RouteRun("direct", direct, None, time.perf_counter() - t0))
+        t0 = time.perf_counter()
+        lau = factor_zx_via_laurent(f)
+        runs.append(RouteRun("laurent", lau.factorization, lau.certificates, time.perf_counter() - t0))
+        t0 = time.perf_counter()
+        ff = factor_zx_via_fraction_field(f)
+        runs.append(RouteRun("fracfield", ff.factorization, ff.certificates, time.perf_counter() - t0))
+        agreements = []
+        for i in range(len(runs)):
+            for j in range(i + 1, len(runs)):
+                bij = check_factorization_unique(ZX, runs[i].factorization, runs[j].factorization)
+                if bij is None:
+                    raise OracleViolationError(
+                        f"route disagreement between {runs[i].route} and {runs[j].route}: "
+                        f"{_render_pf(ZX, runs[i].factorization)} vs "
+                        f"{_render_pf(ZX, runs[j].factorization)}"
+                    )
+                agreements.append((runs[i].route, runs[j].route))
+        return CompareReport(f, tuple(runs), tuple(agreements))

@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from locfactor.cli import main
 
 
@@ -77,6 +79,44 @@ class TestExitCodes:
 
     def test_desk_scale_error(self, capsys):
         assert main(["factor", "Y^5+1"]) == 2
+
+
+class TestLeadingMinus:
+    """An expression starting with "-" is the expression, not an option."""
+
+    def test_factor_laurent(self, capsys):
+        assert main(["factor", "-9*T^-1"]) == 0
+        out = capsys.readouterr().out
+        assert "unit: -T^-1" in out and "3  (multiplicity 2)" in out
+
+    def test_compare(self, capsys):
+        assert main(["compare", "-X^2+1"]) == 0
+        out = capsys.readouterr().out
+        assert "direct: unit -1; factors [X - 1, X + 1]" in out
+
+    def test_double_dash_still_works(self, capsys):
+        assert main(["factor", "--", "-9*T^-1"]) == 0
+        assert "unit: -T^-1" in capsys.readouterr().out
+
+    def test_options_still_parse(self, capsys):
+        assert main(["factor", "-X^2+1", "--json", "--route", "laurent"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["input"] == "-X^2+1" and doc["route"] == "laurent"
+        assert main(["compare", "--verbose", "-X^2+1"]) == 0
+        assert "elapsed direct:" in capsys.readouterr().out
+
+    def test_help_is_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["factor", "-h"])
+        assert exc.value.code == 0
+        assert "--route" in capsys.readouterr().out
+
+    def test_extra_arguments_are_rejected(self, capsys):
+        assert main(["factor", "X", "-Y"]) == 1
+        assert "unrecognized arguments: -Y" in capsys.readouterr().err
+        assert main(["factor", "-X", "-Y"]) == 1
+        assert main(["factor", "--jsn"]) == 1
+        assert "unrecognized arguments: --jsn" in capsys.readouterr().err
 
 
 class TestBatchMode:

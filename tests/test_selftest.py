@@ -1,6 +1,9 @@
 """The selftest harness itself: determinism, full-suite health, and the
 ability to catch a sabotaged engine."""
 
+import subprocess
+import sys
+
 import pytest
 
 from locfactor import selftest
@@ -40,3 +43,14 @@ def test_sabotaged_engine_is_caught(monkeypatch):
     assert not report.ok
     failing = [l for l in report.lines if "FAIL" in l]
     assert any("loc_clear_denominator" in l and "clear_denominator" in l for l in failing)
+
+
+def test_cli_requests_do_not_load_the_suites():
+    code = (
+        "import sys, locfactor, locfactor.cli\n"
+        "assert locfactor.cli.main(['factor', 'X^2-1']) == 0\n"
+        "assert 'locfactor.selftest' not in sys.modules\n"
+        "assert locfactor.run_selftest is sys.modules['locfactor.selftest'].run_selftest\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
