@@ -4,7 +4,10 @@ cross-checked through localization descent.
 The package is organized bottom-up:
 
 * ``rings``        -- exact arithmetic and the uniform ring contract
-* ``basefactor``   -- ground-truth engines (trial division, Kronecker)
+* ``basefactor``   -- ground-truth engines (integers by sieve, Miller-Rabin and
+                      Pollard rho; Z[X] by Kronecker).  An integer with a
+                      probable-prime cofactor above the Miller-Rabin exact
+                      bound (~3.3 * 10**24) is refused as desk-scale (exit 2)
 * ``localization`` -- prime-generated submonoids, fractions, transfer algorithms
 * ``descent``      -- primality certificates and the descent factorizer
 * ``routes``       -- Laurent / fraction-field / bivariate routes and oracles
@@ -17,15 +20,12 @@ from .basefactor import (
     AssociateBijection,
     PrimeFactorization,
     check_factorization_unique,
-    content,
     factor_bivariate,
     factor_integer,
     factor_poly_qx,
     factor_poly_zx,
     is_irreducible,
-    is_prime,
     kronecker_factor,
-    primitive_part,
 )
 from .descent import (
     BaseEngineOracle,

@@ -2,7 +2,9 @@
 
 These are the base oracles everything else is cross-checked against:
 
-* ``factor_integer``     -- trial division over Z
+* ``factor_integer``     -- Z by a small-prime sieve, Miller-Rabin and Pollard
+                            rho; a probable prime above the Miller-Rabin exact
+                            bound (~3.3 * 10**24) is refused as desk-scale
 * ``kronecker_factor``   -- primitive integer polynomials, by evaluation /
                             divisor interpolation (desk scale: degree <= 16,
                             coefficients <= 10**6); inside ``request_memo``
@@ -38,13 +40,20 @@ from .rings import (
     Poly,
     Ring,
     poly_content,
-    poly_gcd_z,
     poly_primitive,
+    zx_clear_denominators,
+    zxy_primitive,
+    zxy_x_degree,
 )
 
 KRONECKER_DEGREE_CAP = 16
 KRONECKER_COEFF_CAP = 10**6
 BIVARIATE_DEGREE_CAP = 4
+
+# the first 13 primes; the strong-pseudoprime test to all of them is exact
+# below the smallest composite that passes it (OEIS A014233)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_EXACT_BOUND = 3317044064679887385961981
 
 # Kronecker answers of the open request, keyed on the input Poly; None when
 # no request is open
@@ -80,27 +89,39 @@ class AssociateBijection:
 # integers
 
 def factor_integer(n: int) -> PrimeFactorization:
-    """Trial division; factors ascending, unit is the sign."""
+    """Factors ascending, unit is the sign.
+
+    Primes below the sieve limit are divided out first; every remaining
+    cofactor is either proven prime by Miller-Rabin or split by Pollard rho.
+    A probable prime at or above ``MILLER_RABIN_EXACT_BOUND`` cannot be proven
+    prime here and raises ``DeskScaleError``.
+    """
     if n == 0:
         raise MathDomainError("cannot factor zero")
-    unit = 1 if n > 0 else -1
     m = abs(n)
-    out = []
-    for p in (2, 3):
+    out: list[int] = []
+    for p in _small_primes():
+        if p * p > m:
+            break
         while m % p == 0:
             out.append(p)
             m //= p
-    d = 5
-    while d * d <= m:
-        for p in (d, d + 2):
-            while m % p == 0:
-                out.append(p)
-                m //= p
-        d += 6
-    if m > 1:
-        out.append(m)
+    stack = [m] if m > 1 else []
+    while stack:
+        m = stack.pop()
+        if _is_probable_prime(m):
+            if m >= MILLER_RABIN_EXACT_BOUND:
+                raise DeskScaleError(
+                    f"desk-scale limit: cannot prove {m} prime "
+                    f"(Miller-Rabin is exact below {MILLER_RABIN_EXACT_BOUND})"
+                )
+            out.append(m)
+            continue
+        d = _pollard_rho(m)
+        stack.append(d)
+        stack.append(m // d)
     out.sort()
-    return PrimeFactorization(unit, tuple(out))
+    return PrimeFactorization(1 if n > 0 else -1, tuple(out))
 
 
 _SMALL_PRIMES: list[int] = []
@@ -119,17 +140,18 @@ def _small_primes() -> list[int]:
 
 
 def _is_probable_prime(n: int) -> bool:
+    """Strong probable-prime test to the bases ``_MR_BASES``; a proof of
+    primality for n < MILLER_RABIN_EXACT_BOUND."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    # deterministic for n < 3.3 * 10**24 with this base set
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -158,36 +180,11 @@ def _pollard_rho(n: int) -> int:
     raise OracleViolationError(f"failed to split {n}")
 
 
-def _factor_value(n: int) -> list[int]:
-    """Prime factors of n >= 1, ascending.  Used for interpolation values,
-    which can exceed the comfortable range of plain trial division."""
-    out: list[int] = []
-    for p in _small_primes():
-        if p * p > n:
-            break
-        while n % p == 0:
-            out.append(p)
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out.append(m)
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    out.sort()
-    return out
-
-
 def _divisors(n: int) -> list[int]:
     """Sorted positive divisors of n >= 1."""
     divs = [1]
     last_p, last_count = None, 0
-    for p in _factor_value(n):
+    for p in factor_integer(n).factors:
         if p == last_p:
             last_count += 1
         else:
@@ -196,24 +193,6 @@ def _divisors(n: int) -> list[int]:
             base = list(divs)
         divs += [d * p ** last_count for d in base]
     return sorted(set(divs))
-
-
-# ---------------------------------------------------------------------------
-# content and primitive part
-
-def content(p: Poly) -> int:
-    """Positive gcd of the coefficients of a nonzero integer polynomial."""
-    if not p.coeffs:
-        raise MathDomainError("cannot take the content of zero")
-    return poly_content(p)
-
-
-def primitive_part(p: Poly) -> Poly:
-    """p divided by its content, sign-normalized to a positive leading coefficient."""
-    if not p.coeffs:
-        raise MathDomainError("cannot take the primitive part of zero")
-    _, prim = poly_primitive(p)
-    return prim
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +410,7 @@ def factor_poly_qx(p: Poly) -> PrimeFactorization:
         raise MathDomainError("cannot factor zero")
     lead = p.coeffs[-1]
     monic = Poly(tuple(c / lead for c in p.coeffs))
-    den = 1
-    for c in monic.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    cleared = ZX.make([int(c * den) for c in monic.coeffs])
+    _, cleared = zx_clear_denominators(monic)
     _, prim = poly_primitive(cleared)
     kf = kronecker_factor(prim)
     factors = []
@@ -445,10 +421,6 @@ def factor_poly_qx(p: Poly) -> PrimeFactorization:
     if pf.value(QX) != p:
         raise OracleViolationError("factor_poly_qx reconstruction failed")
     return pf
-
-
-def _inner_degree(f: Poly) -> int:
-    return max((len(c.coeffs) - 1 for c in f.coeffs if c.coeffs), default=0)
 
 
 def _pack(f: Poly, chunk: int) -> Poly:
@@ -481,15 +453,12 @@ def factor_bivariate(f: Poly) -> PrimeFactorization:
     if ZXY.is_zero(f):
         raise MathDomainError("cannot factor zero")
     deg_y = len(f.coeffs) - 1
-    deg_x = _inner_degree(f)
+    deg_x = zxy_x_degree(f)
     if deg_y > BIVARIATE_DEGREE_CAP or deg_x > BIVARIATE_DEGREE_CAP:
         raise DeskScaleError(
             f"desk-scale limit: degrees ({deg_x}, {deg_y}) exceed cap {BIVARIATE_DEGREE_CAP}"
         )
-    cont = ZX.zero
-    for c in f.coeffs:
-        cont = poly_gcd_z(cont, c)
-    pp = Poly(tuple(ZX.exact_div(c, cont) for c in f.coeffs))
+    cont, pp = zxy_primitive(f)
     cf = factor_poly_zx(cont)
     unit = ZXY.constant(cf.unit)
     factors = [ZXY.constant(q) for q in cf.factors]
@@ -499,7 +468,7 @@ def factor_bivariate(f: Poly) -> PrimeFactorization:
         if ppc != ZXY.one:
             raise OracleViolationError("primitive constant part is not one")
     else:
-        chunk = 2 * _inner_degree(ppc) + 1
+        chunk = 2 * zxy_x_degree(ppc) + 1
         image = _pack(ppc, chunk)
         if len(image.coeffs) - 1 > KRONECKER_DEGREE_CAP:
             raise DeskScaleError(
@@ -568,11 +537,6 @@ def is_irreducible(ring: Ring, a: Element) -> bool:
     if engine is None:
         raise MathDomainError(f"no irreducibility oracle for {ring.name}")
     return len(engine(a).factors) == 1
-
-
-def is_prime(ring: Ring, a: Element) -> bool:
-    """In these certified-UFD instances prime and irreducible coincide."""
-    return is_irreducible(ring, a)
 
 
 def check_factorization_unique(

@@ -202,41 +202,35 @@ def _iter_inputs(args) -> list[str]:
     return [line.strip() for line in sys.stdin if line.strip()]
 
 
-def _do_factor(args) -> int:
+def _factor_one(args, text: str) -> str:
+    ring, element = expr.parse_expr(text)
+    outcome = run_factor(ring, element, args.route)
+    if args.json:
+        return _factor_json(outcome, text)
+    return _factor_text(outcome, text, args.verbose)
+
+
+def _compare_one(args, text: str) -> str:
+    ring, element = expr.parse_expr(text)
+    if ring != ZX:
+        raise UsageError("compare requires a Z[X] expression")
+    return _compare_text(compare_routes(element), text, args.verbose)
+
+
+def _run_inputs(args, one, separate: bool) -> int:
+    """Print ``one(args, text)`` for every input; return the worst exit code.
+
+    A single expression stops at its error.  Batch mode reports the error and
+    goes on, and ends each report with a blank line when ``separate`` is set.
+    """
     worst = 0
     batch = args.expr is None
     for text in _iter_inputs(args):
         try:
-            ring, element = expr.parse_expr(text)
-            outcome = run_factor(ring, element, args.route)
-            if args.json:
-                print(_factor_json(outcome, text))
-            else:
-                print(_factor_text(outcome, text, args.verbose))
-                if batch:
-                    print()
-        except (ParseError, UsageError, LocFactorError) as e:
-            code = _exit_code_for(e)
-            print(f"error: {e}", file=sys.stderr)
-            if not batch:
-                return code
-            worst = max(worst, code)
-    return worst
-
-
-def _do_compare(args) -> int:
-    worst = 0
-    batch = args.expr is None
-    for text in _iter_inputs(args):
-        try:
-            ring, element = expr.parse_expr(text)
-            if ring != ZX:
-                raise UsageError("compare requires a Z[X] expression")
-            report = compare_routes(element)
-            print(_compare_text(report, text, args.verbose))
-            if batch:
+            print(one(args, text))
+            if batch and separate:
                 print()
-        except (ParseError, UsageError, LocFactorError) as e:
+        except (UsageError, LocFactorError) as e:
             code = _exit_code_for(e)
             print(f"error: {e}", file=sys.stderr)
             if not batch:
@@ -303,22 +297,13 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(parser, argv)
         if args.command == "factor":
-            return _do_factor(args)
+            return _run_inputs(args, _factor_one, separate=not args.json)
         if args.command == "compare":
-            return _do_compare(args)
+            return _run_inputs(args, _compare_one, separate=True)
         return _do_selftest(args)
-    except UsageError as e:
+    except (UsageError, LocFactorError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OracleViolationError as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 3
-    except LocFactorError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _exit_code_for(e)
 
 
 if __name__ == "__main__":

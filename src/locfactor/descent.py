@@ -260,10 +260,10 @@ class BaseEngineOracle(LocalizationOracle):
     for integer submonoids and in cross-checking tests.
     """
 
-    def __init__(self, S: GeneratedSubmonoid, engine, name: str = None):
+    def __init__(self, S: GeneratedSubmonoid, engine):
         self.S = S
         self.engine = engine
-        self.name = name or f"{S.ring.name} localized at {S.describe()}"
+        self.name = f"{S.ring.name} localized at {S.describe()}"
 
     def factor_fraction(self, x: Fraction) -> tuple[Fraction, tuple]:
         S = self.S

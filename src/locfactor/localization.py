@@ -19,7 +19,7 @@ correspondence executable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import basefactor
 from .errors import MathDomainError, OracleViolationError, PreconditionError
@@ -44,9 +44,7 @@ class GeneratedSubmonoid:
     order, so ``find_associate_generator`` indices are deterministic.
     """
 
-    def __init__(self, ring: Ring, generators, prime_oracle: Optional[Callable] = None):
-        if prime_oracle is None:
-            prime_oracle = lambda a: basefactor.is_prime(ring, a)
+    def __init__(self, ring: Ring, generators):
         self.ring = ring
         canon = []
         for g in generators:
@@ -55,11 +53,11 @@ class GeneratedSubmonoid:
             _, gn = ring.canonical_associate(g)
             if any(ring.eq(gn, h) for h in canon):
                 continue
-            if not prime_oracle(gn):
+            # the base rings are UFDs, where prime and irreducible coincide
+            if not basefactor.is_irreducible(ring, gn):
                 raise PreconditionError(f"submonoid generator {gn!r} is not prime")
             canon.append(gn)
         self.generators = tuple(canon)
-        self.prime_checked = True
 
     def member(self, exponents) -> "SMember":
         return SMember(self, tuple(exponents))

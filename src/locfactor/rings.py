@@ -576,16 +576,45 @@ def poly_primitive(p: Poly) -> tuple[int, Poly]:
     return c, Poly(tuple(x // c for x in p.coeffs))
 
 
-def _qx_from_zx(p: Poly) -> Poly:
+def zxy_x_degree(f: Poly) -> int:
+    """Degree in X of a Z[X][Y] element (0 for zero)."""
+    return max((len(c.coeffs) - 1 for c in f.coeffs if c.coeffs), default=0)
+
+
+def zxy_primitive(f: Poly) -> tuple[Poly, Poly]:
+    """Split f != 0 in Z[X][Y] into (content, primitive part).
+
+    The content is the Z[X] gcd of the Y-coefficients, with positive leading
+    coefficient, so that content * primitive == f exactly.
+    """
+    if not f.coeffs:
+        raise MathDomainError("zero polynomial")
+    cont = ZX.zero
+    for c in f.coeffs:
+        cont = poly_gcd_z(cont, c)
+    return cont, Poly(tuple(ZX.exact_div(c, cont) for c in f.coeffs))
+
+
+def qx_from_zx(p: Poly) -> Poly:
+    """The image of an integer polynomial in Q[X]."""
     return Poly(tuple(Fraction(c) for c in p.coeffs))
 
 
-def _zx_clear_denominators(p: Poly) -> tuple[int, Poly]:
+def zx_clear_denominators(p: Poly) -> tuple[int, Poly]:
     """Smallest d > 0 with d*p integral; returns (d, d*p as an integer Poly)."""
     d = 1
     for c in p.coeffs:
         d = d * c.denominator // math.gcd(d, c.denominator)
     return d, Poly(tuple(int(c * d) for c in p.coeffs))
+
+
+def zxy_clear_denominators(p: Poly) -> tuple[Poly, Poly]:
+    """Canonical lcm d of the denominators of p in Frac(Z[X])[Y]; returns
+    (d, d*p as a Z[X][Y] Poly)."""
+    d = ZX.one
+    for c in p.coeffs:
+        d = poly_lcm_z(d, c.den)
+    return d, ZXY.make([ZX.exact_div(ZX.mul(c.num, d), c.den) for c in p.coeffs])
 
 
 def poly_gcd_z(a: Poly, b: Poly) -> Poly:
@@ -599,10 +628,10 @@ def poly_gcd_z(a: Poly, b: Poly) -> Poly:
     ca, pa = poly_primitive(a)
     cb, pb = poly_primitive(b)
     c = math.gcd(ca, cb)
-    fa, fb = _qx_from_zx(pa), _qx_from_zx(pb)
+    fa, fb = qx_from_zx(pa), qx_from_zx(pb)
     while fb.coeffs:
         fa, fb = fb, QX.divmod(fa, fb)[1]
-    _, g = _zx_clear_denominators(fa)
+    _, g = zx_clear_denominators(fa)
     _, g = poly_primitive(g)
     return ZX.make([c * x for x in g.coeffs])
 

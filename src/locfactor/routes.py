@@ -16,26 +16,22 @@ substitution engine.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction as QFrac
 from typing import Optional
 
 from . import expr
 from .basefactor import (
     PrimeFactorization,
     check_factorization_unique,
-    content,
     factor_bivariate,
     factor_integer,
     factor_poly_qx,
     factor_poly_zx,
-    primitive_part,
     request_memo,
 )
 from .descent import DescentResult, LocalizationOracle, certify_prime, descend_factor, descend_factor_pou
-from .errors import DeskScaleError, MathDomainError, OracleViolationError
+from .errors import MathDomainError, OracleViolationError
 from .localization import Fraction, GeneratedSubmonoid, SMember
 from .rings import (
     FRAC_ZX,
@@ -47,13 +43,14 @@ from .rings import (
     Element,
     Laurent,
     Poly,
-    poly_gcd_z,
-    poly_lcm_z,
     laurent_to_poly,
+    poly_primitive,
+    qx_from_zx,
     strip_var_power,
+    zx_clear_denominators,
+    zxy_clear_denominators,
+    zxy_primitive,
 )
-
-BIVARIATE_CAP = 4
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +145,6 @@ def factor_zx_via_laurent(f: Poly) -> DescentResult:
 # ---------------------------------------------------------------------------
 # fraction-field route for Z[X]
 
-def _to_polyq(p: Poly) -> Poly:
-    return Poly(tuple(QFrac(c) for c in p.coeffs))
-
-
-def _denominator_lcm(p: Poly) -> int:
-    d = 1
-    for c in p.coeffs:
-        d = d * c.denominator // math.gcd(d, c.denominator)
-    return d
-
-
 def fracfield_submonoid(f: Poly) -> GeneratedSubmonoid:
     """Constant primes participating in f's fraction-field factorization.
 
@@ -169,11 +155,12 @@ def fracfield_submonoid(f: Poly) -> GeneratedSubmonoid:
     """
     if ZX.is_zero(f):
         raise MathDomainError("cannot factor zero")
+    c, prim = poly_primitive(f)
     primes: list[int] = []
-    primes += factor_integer(content(f)).factors
-    primes += factor_integer(primitive_part(f).coeffs[-1]).factors
-    for m in factor_poly_qx(_to_polyq(f)).factors:
-        primes += factor_integer(_denominator_lcm(m)).factors
+    primes += factor_integer(c).factors
+    primes += factor_integer(prim.coeffs[-1]).factors
+    for m in factor_poly_qx(qx_from_zx(f)).factors:
+        primes += factor_integer(zx_clear_denominators(m)[0]).factors
     return GeneratedSubmonoid(ZX, [ZX.constant(p) for p in primes])
 
 
@@ -193,34 +180,32 @@ class FieldPolyOracle(LocalizationOracle):
 
     def factor_fraction(self, x: Fraction) -> tuple[Fraction, tuple]:
         S = self.S
-        qf = factor_poly_qx(_to_polyq(x.num))
+        qf = factor_poly_qx(qx_from_zx(x.num))
         lead = qf.unit.coeffs[0]
         unit_den = self._constant_member(lead.denominator).mul(x.den)
         unit_frac = Fraction(ZX.constant(lead.numerator), unit_den)
         primes = []
         for m in qf.factors:
-            d = _denominator_lcm(m)
-            cleared = ZX.make([int(c * d) for c in m.coeffs])
+            d, cleared = zx_clear_denominators(m)
             primes.append(Fraction(cleared, self._constant_member(d)))
         return (unit_frac, tuple(primes))
 
     def divides(self, x: Fraction, y: Fraction) -> Optional[tuple[SMember, Element]]:
         if ZX.is_zero(x.num):
             return None
-        quot, rem = QX.divmod(_to_polyq(y.num), _to_polyq(x.num))
+        quot, rem = QX.divmod(qx_from_zx(y.num), qx_from_zx(x.num))
         if rem.coeffs:
             return None
-        d = _denominator_lcm(quot)
+        d, cleared = zx_clear_denominators(quot)
         exps, rest = self.S.strip(ZX.constant(d))
         if rest != ZX.one:
             return None  # no witness with denominator inside this submonoid
-        cleared = ZX.make([int(c * d) for c in quot.coeffs])
         return (self.S.member(exps), cleared)
 
     def is_prime_embedded(self, r: Element) -> bool:
         if ZX.is_zero(r):
             return False
-        rq = _to_polyq(r)
+        rq = qx_from_zx(r)
         if QX.is_unit(rq):
             return False
         return len(factor_poly_qx(rq).factors) == 1
@@ -237,22 +222,12 @@ def factor_zx_via_fraction_field(f: Poly) -> DescentResult:
 # ---------------------------------------------------------------------------
 # iterated (bivariate) route
 
-def _inner_degree(f: Poly) -> int:
-    return max((len(c.coeffs) - 1 for c in f.coeffs if c.coeffs), default=0)
-
-
-def _inner_content(f: Poly) -> Poly:
-    cont = ZX.zero
-    for c in f.coeffs:
-        cont = poly_gcd_z(cont, c)
-    return cont
-
-
 def iterated_submonoid(f: Poly) -> GeneratedSubmonoid:
     """Constant primes of Z[X] dividing the coefficient content of f."""
     if ZXY.is_zero(f):
         raise MathDomainError("cannot factor zero")
-    cf = factor_poly_zx(_inner_content(f))
+    cont, _ = zxy_primitive(f)
+    cf = factor_poly_zx(cont)
     return GeneratedSubmonoid(ZXY, [ZXY.constant(q) for q in cf.factors])
 
 
@@ -277,15 +252,8 @@ class RationalCoeffOracle(LocalizationOracle):
         return FXY.make([FRAC_ZX.make(c, inner_den) for c in num.coeffs])
 
     def factor_fraction(self, x: Fraction) -> tuple[Fraction, tuple]:
-        fx = self._to_fxy(x.num, x.den.value)
-        den = ZX.one
-        for c in fx.coeffs:
-            den = poly_lcm_z(den, c.den)
-        cleared = ZXY.make(
-            [ZX.exact_div(ZX.mul(c.num, den), c.den) for c in fx.coeffs]
-        )
-        cont = _inner_content(cleared)
-        pp = Poly(tuple(ZX.exact_div(c, cont) for c in cleared.coeffs))
+        den, cleared = zxy_clear_denominators(self._to_fxy(x.num, x.den.value))
+        cont, pp = zxy_primitive(cleared)
         bf = factor_bivariate(pp)
         unit_num = ZXY.mul(ZXY.constant(cont), bf.unit)
         unit_frac = Fraction(unit_num, self._constant_member(den))
@@ -300,20 +268,16 @@ class RationalCoeffOracle(LocalizationOracle):
         quot, rem = FXY.divmod(fy, fx)
         if rem.coeffs:
             return None
-        den = ZX.one
-        for c in quot.coeffs:
-            den = poly_lcm_z(den, c.den)
+        den, cleared = zxy_clear_denominators(quot)
         exps, rest = self.S.strip(ZXY.constant(den))
         if rest != ZXY.one:
             return None
-        cleared = ZXY.make([ZX.exact_div(ZX.mul(c.num, den), c.den) for c in quot.coeffs])
         return (self.S.member(exps), cleared)
 
     def is_prime_embedded(self, r: Element) -> bool:
         if ZXY.is_zero(r):
             return False
-        cont = _inner_content(r)
-        pp = Poly(tuple(ZX.exact_div(c, cont) for c in r.coeffs))
+        _, pp = zxy_primitive(r)
         if len(pp.coeffs) <= 1:
             return False  # constants are units (or zero) over the fraction field
         return len(factor_bivariate(pp).factors) == 1
@@ -322,16 +286,8 @@ class RationalCoeffOracle(LocalizationOracle):
 def factor_iterated(f: Poly) -> DescentResult:
     """Factor over Z[X][Y]; descent from rational-function coefficients,
     cross-checked against the Kronecker substitution engine."""
-    if ZXY.is_zero(f):
-        raise MathDomainError("cannot factor zero")
-    deg_y = len(f.coeffs) - 1
-    deg_x = _inner_degree(f)
-    if deg_y > BIVARIATE_CAP or deg_x > BIVARIATE_CAP:
-        raise DeskScaleError(
-            f"desk-scale limit: degrees ({deg_x}, {deg_y}) exceed cap {BIVARIATE_CAP}"
-        )
     with request_memo():
-        direct = factor_bivariate(f)
+        direct = factor_bivariate(f)  # first: it rejects zero and the degree caps
         S = iterated_submonoid(f)
         oracle = RationalCoeffOracle(S)
         res = descend_factor(f, S, oracle)

@@ -16,9 +16,10 @@ from fractions import Fraction as QFrac
 
 from . import expr
 from .basefactor import (
+    BIVARIATE_DEGREE_CAP,
+    KRONECKER_DEGREE_CAP,
     PrimeFactorization,
     check_factorization_unique,
-    content,
     factor_bivariate,
     factor_integer,
     factor_poly_qx,
@@ -53,7 +54,9 @@ from .rings import (
     ZXY,
     ZZ,
     laurent_to_poly,
+    poly_content,
     strip_var_power,
+    zxy_x_degree,
 )
 from .routes import (
     compare_routes,
@@ -115,8 +118,12 @@ def _bivariate_feasible(f) -> bool:
     if ZXY.is_zero(f):
         return False
     ny = len(f.coeffs) - 1
-    nx = max((len(c.coeffs) - 1 for c in f.coeffs if c.coeffs), default=0)
-    return ny <= 4 and nx <= 4 and ny * (2 * nx + 1) + nx <= 16
+    nx = zxy_x_degree(f)
+    return (
+        ny <= BIVARIATE_DEGREE_CAP
+        and nx <= BIVARIATE_DEGREE_CAP
+        and ny * (2 * nx + 1) + nx <= KRONECKER_DEGREE_CAP
+    )
 
 
 def rand_bivariate(rng, nonzero=False):
@@ -359,7 +366,7 @@ def suite_base_gauss_content(rng, trials):
     for _ in range(trials):
         a = rand_zx(rng, nonzero=True)
         b = rand_zx(rng, nonzero=True)
-        if content(ZX.mul(a, b)) != content(a) * content(b):
+        if poly_content(ZX.mul(a, b)) != poly_content(a) * poly_content(b):
             raise SelfTestFailure("content is not multiplicative")
 
 

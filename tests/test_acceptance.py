@@ -16,20 +16,18 @@ from pathlib import Path
 import pytest
 
 from locfactor.basefactor import (
-    PrimeFactorization,
     check_factorization_unique,
     factor_bivariate,
     factor_integer,
     factor_poly_zx,
     is_irreducible,
 )
-from locfactor.descent import BaseEngineOracle, certify_prime
+from locfactor.descent import BaseEngineOracle
 from locfactor.errors import PreconditionError
 from locfactor.localization import (
     GeneratedSubmonoid,
     avoids,
     clear_denominator,
-    find_associate_generator,
     lift_dvd,
     pou_lift_dvd,
     pou_transfer_prime_divides,
@@ -47,8 +45,9 @@ from locfactor.routes import (
 from locfactor.selftest import (
     brute_force_avoids,
     rand_bivariate_feasible,
-    rand_unit,
     rand_zx,
+    suite_base_unique_shuffle,
+    suite_descent_dichotomy,
     _transfer_instance,
 )
 
@@ -97,26 +96,8 @@ def test_criterion_2_reconstruction_identity():
 
 
 def test_criterion_3_uniqueness_bijection():
-    rng = random.Random("acceptance:uniqueness")
-    for _ in range(200):
-        if rng.random() < 0.5:
-            ring = ZZ
-            n = 0
-            while n == 0:
-                n = rng.randint(-(10**5), 10**5)
-            pf = factor_integer(n)
-        else:
-            ring = ZX
-            pf = factor_poly_zx(rand_zx(rng, nonzero=True))
-        factors = list(pf.factors)
-        rng.shuffle(factors)
-        unit = pf.unit
-        perturbed = []
-        for q in factors:
-            u = rand_unit(rng, ring)
-            perturbed.append(ring.mul(u, q))
-            unit = ring.mul(unit, ring.unit_inverse(u))
-        assert check_factorization_unique(ring, pf, PrimeFactorization(unit, tuple(perturbed)))
+    # raises SelfTestFailure when a shuffled, unit-perturbed copy is not matched
+    suite_base_unique_shuffle(random.Random("acceptance:uniqueness"), 200)
     _report(3, "uniqueness bijection after shuffle and unit perturbation")
 
 
@@ -204,18 +185,9 @@ def test_criterion_6_chain_correspondence():
 
 
 def test_criterion_7_case_split_dichotomy():
-    rng = random.Random("acceptance:dichotomy")
-    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
-    for _ in range(100):
-        gens = rng.sample((2, 3, 5, 7, 11, 13), rng.randint(1, 3))
-        S = GeneratedSubmonoid(ZZ, gens)
-        p = rng.choice((1, -1)) * rng.choice(primes)
-        case1 = find_associate_generator(S, p) is not None
-        case2 = brute_force_avoids(S, p)
-        assert case1 != case2, "exactly one case must apply"
-        cert = certify_prime(p, S, BaseEngineOracle(S, factor_integer))
-        assert cert.case == ("generator" if case1 else "localization")
-        assert cert.replay()
+    # raises SelfTestFailure unless exactly one case applies, the certificate
+    # names that case, and it replays
+    suite_descent_dichotomy(random.Random("acceptance:dichotomy"), 100)
     _report(7, "primality case split is a dichotomy with replayable certificates")
 
 

@@ -7,19 +7,18 @@ from fractions import Fraction as QFrac
 import pytest
 
 from locfactor.basefactor import (
+    MILLER_RABIN_EXACT_BOUND,
     PrimeFactorization,
     check_factorization_unique,
-    content,
     factor_bivariate,
     factor_integer,
     factor_poly_qx,
     factor_poly_zx,
     is_irreducible,
-    is_prime,
     kronecker_factor,
 )
 from locfactor.errors import DeskScaleError, MathDomainError, PreconditionError
-from locfactor.rings import QX, ZX, ZXY, ZZ
+from locfactor.rings import QX, ZX, ZXY, ZZ, poly_content, poly_primitive
 from locfactor.selftest import rand_zx
 
 
@@ -27,11 +26,13 @@ def brute_factor(n):
     """Independent smallest-divisor factorization."""
     out, m = [], abs(n)
     d = 2
-    while m > 1:
+    while d * d <= m:
         while m % d == 0:
             out.append(d)
             m //= d
         d += 1
+    if m > 1:
+        out.append(m)
     return out
 
 
@@ -57,6 +58,24 @@ class TestFactorInteger:
         for _ in range(50):
             n = rng.randint(2, 5000) * rng.choice((1, -1))
             assert list(factor_integer(n).factors) == brute_factor(n)
+        for _ in range(30):
+            n = rng.randint(2, 10**12) * rng.choice((1, -1))
+            assert list(factor_integer(n).factors) == brute_factor(n)
+
+    def test_hard_values_against_brute(self):
+        # prime powers above the sieve limit, then strong pseudoprimes to
+        # every prime base up to some bound
+        for n in (10007**2, 10007**3, 999983**2 * 1000003, 3215031751, 2152302898747,
+                  3474749660383, 341550071728321, 3825123056546413051):
+            assert list(factor_integer(n).factors) == brute_factor(n)
+        # the smallest that passes bases 2..37; base 41 exposes it
+        assert factor_integer(318665857834031151167461).factors == (399165290221, 798330580441)
+
+    def test_unprovable_prime_is_refused(self):
+        for n in (2**89 - 1, 10**30 + 57):
+            assert n >= MILLER_RABIN_EXACT_BOUND
+            with pytest.raises(DeskScaleError, match="cannot prove"):
+                factor_integer(n)
 
 
 class TestContentPrimitive:
@@ -66,16 +85,14 @@ class TestContentPrimitive:
         return abs(a)
 
     def test_examples(self):
-        assert content(ZX.make([0, 4, 6])) == self.euclid(6, 4)
-        assert content(ZX.make([1, 1])) == 1
-        assert content(ZX.make([-4])) == 4
-        from locfactor.basefactor import primitive_part
-
-        assert primitive_part(ZX.make([0, 4, 6])) == ZX.make([0, 2, 3])
-        assert primitive_part(ZX.make([-1, 1])) == ZX.make([-1, 1])
-        assert primitive_part(ZX.make([0, -2])) == ZX.gen
+        assert poly_content(ZX.make([0, 4, 6])) == self.euclid(6, 4)
+        assert poly_content(ZX.make([1, 1])) == 1
+        assert poly_content(ZX.make([-4])) == 4
+        assert poly_primitive(ZX.make([0, 4, 6])) == (2, ZX.make([0, 2, 3]))
+        assert poly_primitive(ZX.make([-1, 1])) == (1, ZX.make([-1, 1]))
+        assert poly_primitive(ZX.make([0, -2])) == (-2, ZX.gen)
         with pytest.raises(MathDomainError):
-            content(ZX.zero)
+            poly_primitive(ZX.zero)
 
 
 def no_linear_divisor(p):
@@ -240,9 +257,9 @@ class TestUniqueness:
 
 class TestIrreducibilityOracles:
     def test_examples(self):
-        assert is_prime(ZZ, 2)
+        assert is_irreducible(ZZ, 2)
         assert not is_irreducible(ZX, ZX.make([0, 0, 1]))  # X^2
-        assert is_prime(ZX, ZX.make([1, 0, 1]))
+        assert is_irreducible(ZX, ZX.make([1, 0, 1]))
         assert not is_irreducible(ZZ, 1)
         assert not is_irreducible(ZZ, 0)
         assert is_irreducible(QX, QX.make([QFrac(1), QFrac(2)]))

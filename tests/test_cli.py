@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -76,9 +77,18 @@ class TestExitCodes:
     def test_math_domain_error(self, capsys):
         assert main(["factor", "0"]) == 2
         assert main(["factor", "X-X"]) == 2
+        assert main(["compare", "X-X"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: cannot factor zero"
 
     def test_desk_scale_error(self, capsys):
         assert main(["factor", "Y^5+1"]) == 2
+        capsys.readouterr()
+        # primes above the Miller-Rabin exact bound are refused, not searched
+        for text in ("2^89-1", "1000000000000000000000000000057"):
+            t0 = time.monotonic()
+            assert main(["factor", text]) == 2
+            assert time.monotonic() - t0 < 1
+            assert capsys.readouterr().err.startswith("error: desk-scale limit: cannot prove")
 
 
 class TestLeadingMinus:
@@ -134,6 +144,26 @@ class TestBatchMode:
         out, err = capsys.readouterr()
         assert "cannot factor zero" in err
         assert json.loads(out.splitlines()[0])["ring"] == "Z"
+
+    def test_blank_line_after_text_reports_only(self, capsys, monkeypatch):
+        for argv, first in ((["factor"], "6"), (["compare"], "X")):
+            assert run_cli(argv, f"{first}\nX^2-1\n", monkeypatch) == 0
+            reports = capsys.readouterr().out.split("\n\n")
+            assert [r.splitlines()[0] for r in reports[:2]] == [f"input: {first}", "input: X^2-1"]
+            assert reports[2] == ""
+        assert run_cli(["factor", "--json"], "6\nX^2-1\n", monkeypatch) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 2 and "\n\n" not in out
+
+    def test_compare_batch_returns_the_worst_code(self, capsys, monkeypatch):
+        code = run_cli(["compare"], "T+1\nX-X\nX^2-1\n", monkeypatch)
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [
+            "error: compare requires a Z[X] expression",
+            "error: cannot factor zero",
+        ]
+        assert out.startswith("input: X^2-1\n") and out.endswith("\n\n")
 
 
 class TestCompareCommand:

@@ -49,7 +49,6 @@ def sx():
 class TestSubmonoid:
     def test_generators_checked(self, s2):
         assert s2.generators == (2,)
-        assert s2.prime_checked
 
     def test_non_prime_rejected(self):
         with pytest.raises(PreconditionError):
