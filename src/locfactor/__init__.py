@@ -34,7 +34,6 @@ from .descent import (
     PrimalityCertificate,
     certify_prime,
     descend_factor,
-    descend_factor_pou,
     normalize_numerator,
 )
 from .errors import (
@@ -60,9 +59,6 @@ from .localization import (
     frac_is_unit,
     frac_mul,
     lift_dvd,
-    pou_lift_dvd,
-    pou_transfer_irreducible,
-    pou_transfer_prime_divides,
     split_prime_factors,
     transfer_irreducible,
     transfer_prime_divides,

@@ -54,6 +54,12 @@ BIVARIATE_DEGREE_CAP = 4
 # below the smallest composite that passes it (OEIS A014233)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_EXACT_BOUND = 3317044064679887385961981
+# Iterations of one Pollard rho split, which takes on the order of the square
+# root of the smaller prime factor: 188,312 for 399165290221 * 798330580441,
+# at most 1,208 on the desk-mixed benchmark integers (below 10^12), and about
+# 10^7 (13 s) for two primes near 10^14, which the budget refuses after ~3 s
+# (CPython 3.11, one core of a 2-vCPU guest).
+POLLARD_RHO_BUDGET = 1_000_000
 
 # Kronecker answers of the open request, keyed on the input Poly; None when
 # no request is open
@@ -94,7 +100,8 @@ def factor_integer(n: int) -> PrimeFactorization:
     Primes below the sieve limit are divided out first; every remaining
     cofactor is either proven prime by Miller-Rabin or split by Pollard rho.
     A probable prime at or above ``MILLER_RABIN_EXACT_BOUND`` cannot be proven
-    prime here and raises ``DeskScaleError``.
+    prime here and raises ``DeskScaleError``, as does a cofactor that Pollard
+    rho does not split within ``POLLARD_RHO_BUDGET`` iterations.
     """
     if n == 0:
         raise MathDomainError("cannot factor zero")
@@ -165,13 +172,21 @@ def _is_probable_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    # Brent's cycle variant with a deterministic parameter sweep
+    # Floyd's cycle detection with a deterministic parameter sweep, stopped
+    # after POLLARD_RHO_BUDGET iterations over all parameters
     if n % 2 == 0:
         return 2
+    left = POLLARD_RHO_BUDGET
     for c in range(1, 100):
         x, y, d = 2, 2, 1
         f = lambda v: (v * v + c) % n
         while d == 1:
+            if not left:
+                raise DeskScaleError(
+                    f"desk-scale limit: Pollard rho found no factor of {n} "
+                    f"in {POLLARD_RHO_BUDGET} iterations"
+                )
+            left -= 1
             x = f(x)
             y = f(f(y))
             d = math.gcd(abs(x - y), n)

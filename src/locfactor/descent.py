@@ -12,6 +12,11 @@ from there.  Every emitted factor carries a replayable
 primes, hand the stripped residue to the oracle, normalize the returned
 fraction numerators back into the base ring, certify each residual, and
 reconcile the unit bookkeeping before emitting the result.
+
+Both work for a submonoid with any number of prime generators.  As in the
+paper, this prime-generated hypothesis is the only one: a single-generator
+submonoid such as the powers of X takes the same descent, not a restricted
+variant of it.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .localization import (
     frac_mul,
     witness_multiset,
     _require_irreducible,
-    _require_single_generator,
 )
 from .rings import Element
 
@@ -82,7 +86,6 @@ class PrimalityCertificate:
     generator_index: Optional[int] = None
     unit: Optional[Element] = None
     oracle: Optional[LocalizationOracle] = None
-    chain: str = "prime-generated"
 
     def replay(self) -> bool:
         """Re-derive the certificate from scratch, bypassing any request memo."""
@@ -112,27 +115,19 @@ class PrimalityCertificate:
 
 
 def certify_prime(
-    p: Element,
-    S: GeneratedSubmonoid,
-    oracle: LocalizationOracle,
-    chain: str = "prime-generated",
+    p: Element, S: GeneratedSubmonoid, oracle: LocalizationOracle
 ) -> PrimalityCertificate:
     """Decide primality of an irreducible p by the generator/avoidance case split."""
-    ring = S.ring
-    if ring.is_zero(p) or ring.is_unit(p):
-        raise PreconditionError("not irreducible")
-    _require_irreducible(ring, p)
-    if chain == "prime-or-unit":
-        _require_single_generator(S)
+    _require_irreducible(S.ring, p)
     hit = find_associate_generator(S, p)
     if hit is not None:
         i, u = hit
-        return PrimalityCertificate(p, S, "generator", generator_index=i, unit=u, chain=chain)
+        return PrimalityCertificate(p, S, "generator", generator_index=i, unit=u)
     if frac_is_unit(embed(p, S)):
         raise OracleViolationError("avoiding irreducible embedded to a unit")
     if not oracle.is_prime_embedded(p):
         raise OracleViolationError("localization not UFD on this input")
-    return PrimalityCertificate(p, S, "localization", oracle=oracle, chain=chain)
+    return PrimalityCertificate(p, S, "localization", oracle=oracle)
 
 
 def normalize_numerator(x: Fraction, S: GeneratedSubmonoid) -> tuple[Element, tuple]:
@@ -160,10 +155,7 @@ def _vec_add(a, b):
 
 
 def descend_factor(
-    a: Element,
-    S: GeneratedSubmonoid,
-    oracle: LocalizationOracle,
-    chain: str = "prime-generated",
+    a: Element, S: GeneratedSubmonoid, oracle: LocalizationOracle
 ) -> DescentResult:
     """Factor a base-ring element from the localization oracle.
 
@@ -175,13 +167,11 @@ def descend_factor(
     ring = S.ring
     if ring.is_zero(a):
         raise MathDomainError("cannot factor zero")
-    if chain == "prime-or-unit":
-        _require_single_generator(S)
     exps, a0 = S.strip(a)
     pairs = []
     for g, e in zip(S.generators, exps):
         if e:
-            cert = certify_prime(g, S, oracle, chain)
+            cert = certify_prime(g, S, oracle)
             pairs.extend([(g, cert)] * e)
     if ring.is_unit(a0):
         unit = a0
@@ -210,7 +200,7 @@ def descend_factor(
             if ring.is_unit(rc):
                 raise OracleViolationError("oracle returned a unit factor")
             u_res = ring.mul(u_res, ur)
-            cert = certify_prime(rc, S, oracle, chain)
+            cert = certify_prime(rc, S, oracle)
             residuals.append(rc)
             pairs.append((rc, cert))
         # the submonoid content on both sides of t*a0 == w * prod(residuals) * u
@@ -242,14 +232,6 @@ def descend_factor(
     if not ring.eq(factorization.value(ring), a):
         raise DescentInconsistencyError("descent inconsistency")
     return DescentResult(factorization, tuple(c for _, c in pairs))
-
-
-def descend_factor_pou(
-    a: Element, S: GeneratedSubmonoid, oracle: LocalizationOracle
-) -> DescentResult:
-    """Single-generator descent through the prime-or-unit chain."""
-    _require_single_generator(S)
-    return descend_factor(a, S, oracle, chain="prime-or-unit")
 
 
 class BaseEngineOracle(LocalizationOracle):

@@ -14,14 +14,25 @@ Variables are X, Y and T.  The ring is inferred from the variables used:
 none -> Z, {X} -> Z[X], {T} -> the Laurent ring, {Y} or {X, Y} -> Z[X][Y].
 T cannot be mixed with X or Y.  The renderer produces strings this grammar
 accepts, so parse(render(e)) == e for every engine-produced element.
+
+Sums and products parse to flat lists, so only parentheses deepen the tree;
+they may nest ``NESTING_DEPTH_CAP`` deep.  ``parse_expr`` refuses input whose
+powers, multiplied through their nesting, exceed ``EXPONENT_CAP`` before it
+evaluates anything.
 """
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import DeskScaleError, ParseError
 from .rings import FRAC_ZX, LT, QQ, QX, ZX, ZXY, ZZ, Element, Laurent, Poly, Ring
 
 _VARS = ("X", "Y", "T")
+
+# Parsing and evaluation recurse once per parenthesis level, so the cap keeps
+# both far inside Python's default recursion limit.
+NESTING_DEPTH_CAP = 100
+# Every exponent in the tests, golden files and benchmark corpora is <= 89.
+EXPONENT_CAP = 100
 
 
 def _tokenize(text: str) -> list[tuple]:
@@ -63,6 +74,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -86,35 +98,35 @@ class _Parser:
         return node
 
     def expr(self):
+        # ("sum", (term, ("neg", term), ...))
+        terms = []
+        sign = "+"
         kind, val, _ = self.peek()
         if kind == "op" and val in "+-":
-            self.take()
-            node = self.term()
-            if val == "-":
-                node = ("neg", node)
-        else:
-            node = self.term()
+            sign = self.take()[1]
         while True:
+            term = self.term()
+            terms.append(("neg", term) if sign == "-" else term)
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                node = ("add" if val == "+" else "sub", node, rhs)
-            else:
-                return node
+            if not (kind == "op" and val in "+-"):
+                break
+            sign = self.take()[1]
+        return terms[0] if len(terms) == 1 else ("sum", tuple(terms))
 
     def term(self):
-        node = self.factor()
+        # ("mul", (factor, ...))
+        factors = [self.factor()]
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                node = ("mul", node, self.factor())
+                factors.append(self.factor())
             elif kind == "var" or (kind == "op" and val == "("):
                 # juxtaposition: 12X, 2(X+1), X(X+1)
-                node = ("mul", node, self.factor())
+                factors.append(self.factor())
             else:
-                return node
+                break
+        return factors[0] if len(factors) == 1 else ("mul", tuple(factors))
 
     def factor(self):
         node = self.primary()
@@ -143,22 +155,34 @@ class _Parser:
         if kind == "var":
             return ("var", val)
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > NESTING_DEPTH_CAP:
+                raise ParseError(f"parentheses nest deeper than {NESTING_DEPTH_CAP}", pos)
             node = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return node
         raise ParseError(f"expected a value, found {val!r}", pos)
 
 
-def _collect_vars(node, out: set):
-    if node[0] == "var":
-        out.add(node[1])
-    elif node[0] in ("neg",):
-        _collect_vars(node[1], out)
-    elif node[0] in ("add", "sub", "mul"):
-        _collect_vars(node[1], out)
-        _collect_vars(node[2], out)
-    elif node[0] == "pow":
-        _collect_vars(node[1], out)
+def _parse(text: str) -> tuple[object, set]:
+    """Syntax tree of ``text`` and the variables it uses."""
+    tokens = _tokenize(text)
+    variables = {val for kind, val, _ in tokens if kind == "var"}
+    return _Parser(tokens).parse(), variables
+
+
+def _exponent_reach(node) -> int:
+    """The largest product of exponents along a chain of nested powers: how
+    many times over evaluation can multiply a literal or a variable."""
+    op = node[0]
+    if op == "pow":
+        return _exponent_reach(node[1]) * max(abs(node[2]), 1)
+    if op == "neg":
+        return _exponent_reach(node[1])
+    if op in ("sum", "mul"):
+        return max(_exponent_reach(c) for c in node[1])
+    return 1
 
 
 def _infer_ring(variables: set) -> Ring:
@@ -181,12 +205,12 @@ def _evaluate(node, ring: Ring, env: dict) -> Element:
         return env[node[1]]
     if op == "neg":
         return ring.neg(_evaluate(node[1], ring, env))
-    if op == "add":
-        return ring.add(_evaluate(node[1], ring, env), _evaluate(node[2], ring, env))
-    if op == "sub":
-        return ring.sub(_evaluate(node[1], ring, env), _evaluate(node[2], ring, env))
-    if op == "mul":
-        return ring.mul(_evaluate(node[1], ring, env), _evaluate(node[2], ring, env))
+    if op in ("sum", "mul"):
+        combine = ring.add if op == "sum" else ring.mul
+        acc = _evaluate(node[1][0], ring, env)
+        for child in node[1][1:]:
+            acc = combine(acc, _evaluate(child, ring, env))
+        return acc
     if op == "pow":
         if node[2] < 0:
             return LT.t_power(node[2])
@@ -206,20 +230,24 @@ def _env_for(ring: Ring) -> dict:
 
 def parse_expr(text: str) -> tuple[Ring, Element]:
     """Parse an expression and infer its ring from the variables used."""
-    tokens = _tokenize(text)
-    ast = _Parser(tokens).parse()
-    variables: set = set()
-    _collect_vars(ast, variables)
+    ast, variables = _parse(text)
     ring = _infer_ring(variables)
+    reach = _exponent_reach(ast)
+    if reach > EXPONENT_CAP:
+        raise DeskScaleError(
+            f"desk-scale limit: exponent {reach} exceeds {EXPONENT_CAP} "
+            "(nested exponents multiply)"
+        )
     return ring, _evaluate(ast, ring, _env_for(ring))
 
 
 def parse_in_ring(text: str, ring: Ring) -> Element:
-    """Parse against a known target ring; constants embed into it."""
-    tokens = _tokenize(text)
-    ast = _Parser(tokens).parse()
-    variables: set = set()
-    _collect_vars(ast, variables)
+    """Parse against a known target ring; constants embed into it.
+
+    Unlike ``parse_expr`` it applies no exponent cap: it re-reads rendered
+    engine output, whose Laurent units can carry any power of T.
+    """
+    ast, variables = _parse(text)
     env = _env_for(ring)
     missing = variables - set(env)
     if missing:

@@ -7,13 +7,10 @@ of a denominator is total and trivially correct.  Fractions over a submonoid
 are unreduced; equality is cross-multiplication, which is exactly the fraction
 relation of a domain localization.
 
-The transfer algorithms come in two independent chains: the general chain
-peels prime multisets (``clear_denominator`` / ``lift_dvd`` /
-``split_prime_factors`` / ``transfer_prime_divides``) and the restricted
-prime-or-unit chain (``pou_*``) works one denominator exponent at a time and
-is only valid for single-generator submonoids.  Both compute the same
-quotients on single-generator instances; keeping both makes that
-correspondence executable.
+The transfer algorithms peel prime multisets: ``clear_denominator`` /
+``lift_dvd`` / ``split_prime_factors`` / ``transfer_prime_divides``.  They
+need only that the submonoid is prime-generated, so one chain serves every
+submonoid, with one generator or many.
 """
 
 from __future__ import annotations
@@ -173,10 +170,6 @@ def frac_add(x: Fraction, y: Fraction) -> Fraction:
     return Fraction(num, x.den.mul(y.den))
 
 
-def frac_neg(x: Fraction) -> Fraction:
-    return Fraction(x.den.submonoid.ring.neg(x.num), x.den)
-
-
 def frac_is_unit(x: Fraction) -> bool:
     """A fraction is a localization unit iff its numerator strips to a ring unit."""
     S = x.den.submonoid
@@ -212,7 +205,7 @@ def avoids(S: GeneratedSubmonoid, p: Element) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# general (prime-generated) transfer chain
+# transfer algorithms
 
 def clear_denominator(ring: Ring, f, p: Element, a: Element, c: Element) -> Element:
     """Given (prod f) * a == p * c with every q in f prime and not dividing p,
@@ -284,7 +277,6 @@ class IrreducibilityCertificate:
     submonoid: GeneratedSubmonoid
     subject: Element
     non_unit: bool
-    chain: str = "prime-generated"
 
     def refute(self, x: Fraction, y: Fraction) -> str:
         S = self.submonoid
@@ -292,25 +284,9 @@ class IrreducibilityCertificate:
         if not frac_eq(embed(self.subject, S), frac_mul(x, y)):
             raise PreconditionError("refuter needs a factorization of the subject")
         st = x.den.mul(y.den)
-        if self.chain == "prime-or-unit":
-            a, b = x.num, y.num
-            g = S.generators[0]
-            for _ in range(st.exponents[0]):
-                qa = ring.exact_div(a, g)
-                if qa is not None:
-                    a = qa
-                    continue
-                qb = ring.exact_div(b, g)
-                if qb is None:
-                    raise OracleViolationError("primality oracle violated")
-                b = qb
-            a2, b2 = a, b
-            if not ring.eq(ring.mul(a2, b2), self.subject):
-                raise OracleViolationError("primality oracle violated")
-        else:
-            a2, b2, _, _ = split_prime_factors(
-                ring, self.subject, witness_multiset(st), x.num, y.num
-            )
+        a2, b2, _, _ = split_prime_factors(
+            ring, self.subject, witness_multiset(st), x.num, y.num
+        )
         if ring.is_unit(a2):
             return "left"
         if ring.is_unit(b2):
@@ -354,67 +330,3 @@ def transfer_prime_divides(
         return ("right", lift_dvd(S, p, b, s, c))
     raise OracleViolationError("localization primality violated")
 
-
-# ---------------------------------------------------------------------------
-# prime-or-unit chain: single-generator submonoids, no multiset peeling
-
-def _require_single_generator(S: GeneratedSubmonoid) -> Element:
-    if len(S.generators) != 1:
-        raise PreconditionError(
-            "prime-or-unit hypothesis fails: a product of two distinct generator "
-            "primes is neither prime nor a unit"
-        )
-    return S.generators[0]
-
-
-def pou_lift_dvd(
-    S: GeneratedSubmonoid, p: Element, a: Element, s: SMember, c: Element
-) -> Element:
-    """Single-generator lift: case analysis on each denominator exponent."""
-    g = _require_single_generator(S)
-    ring = S.ring
-    _require_irreducible(ring, p)
-    if not avoids(S, p):
-        raise PreconditionError("avoidance violated")
-    if not ring.eq(ring.mul(s.value, a), ring.mul(p, c)):
-        raise PreconditionError("not a valid instance")
-    for _ in range(s.exponents[0]):
-        cq = ring.exact_div(c, g)
-        if cq is None:
-            raise OracleViolationError("primality oracle violated")
-        c = cq
-    if not ring.eq(a, ring.mul(p, c)):
-        raise OracleViolationError("primality oracle violated")
-    return c
-
-
-def pou_transfer_irreducible(S: GeneratedSubmonoid, p: Element) -> IrreducibilityCertificate:
-    _require_single_generator(S)
-    ring = S.ring
-    _require_irreducible(ring, p)
-    if not avoids(S, p):
-        raise PreconditionError("avoidance violated")
-    if frac_is_unit(embed(p, S)):
-        raise OracleViolationError("avoiding irreducible embedded to a unit")
-    return IrreducibilityCertificate(S, p, non_unit=True, chain="prime-or-unit")
-
-
-def pou_transfer_prime_divides(
-    S: GeneratedSubmonoid, p: Element, a: Element, b: Element, oracle
-) -> tuple[str, Element]:
-    _require_single_generator(S)
-    ring = S.ring
-    _require_irreducible(ring, p)
-    if not avoids(S, p):
-        raise PreconditionError("avoidance violated")
-    if ring.exact_div(ring.mul(a, b), p) is None:
-        raise PreconditionError("p does not divide a*b")
-    w = oracle.divides(embed(p, S), embed(a, S))
-    if w is not None:
-        s, c = w
-        return ("left", pou_lift_dvd(S, p, a, s, c))
-    w = oracle.divides(embed(p, S), embed(b, S))
-    if w is not None:
-        s, c = w
-        return ("right", pou_lift_dvd(S, p, b, s, c))
-    raise OracleViolationError("localization primality violated")

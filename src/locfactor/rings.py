@@ -84,8 +84,12 @@ class Ring:
         if n < 0:
             raise MathDomainError("negative exponent")
         acc = self.one
-        for _ in range(n):
-            acc = self.mul(acc, a)
+        while n:  # square and multiply
+            if n & 1:
+                acc = self.mul(acc, a)
+            n >>= 1
+            if n:
+                a = self.mul(a, a)
         return acc
 
     def sort_key(self, a: Element):

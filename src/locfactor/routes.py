@@ -30,7 +30,7 @@ from .basefactor import (
     factor_poly_zx,
     request_memo,
 )
-from .descent import DescentResult, LocalizationOracle, certify_prime, descend_factor, descend_factor_pou
+from .descent import DescentResult, LocalizationOracle, certify_prime, descend_factor
 from .errors import MathDomainError, OracleViolationError
 from .localization import Fraction, GeneratedSubmonoid, SMember
 from .rings import (
@@ -129,17 +129,12 @@ class LaurentOracle(LocalizationOracle):
 def factor_zx_via_laurent(f: Poly) -> DescentResult:
     """Descend a Z[X] factorization from the Laurent ring.
 
-    Runs both transfer chains (the submonoid has a single generator) and
-    insists they agree.
+    The powers of X are a prime-generated submonoid with one generator, so
+    this is the same ``descend_factor`` that the other routes run.
     """
     with request_memo():
         S = powers_of_x_submonoid()
-        oracle = LaurentOracle(S)
-        res = descend_factor(f, S, oracle)
-        res_pou = descend_factor_pou(f, S, oracle)
-        if check_factorization_unique(ZX, res.factorization, res_pou.factorization) is None:
-            raise OracleViolationError("prime-generated and prime-or-unit chains disagree")
-    return res
+        return descend_factor(f, S, LaurentOracle(S))
 
 
 # ---------------------------------------------------------------------------

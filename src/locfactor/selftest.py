@@ -39,8 +39,6 @@ from .localization import (
     frac_is_unit,
     frac_mul,
     lift_dvd,
-    pou_lift_dvd,
-    pou_transfer_prime_divides,
     split_prime_factors,
     transfer_prime_divides,
     witness_multiset,
@@ -475,32 +473,32 @@ def suite_loc_split_conservation(rng, trials):
             raise SelfTestFailure("split: multiset not conserved")
 
 
-def suite_loc_chain_agreement(rng, trials):
+def suite_loc_transfer_prime_divides(rng, trials):
+    """transfer_prime_divides against exact division in the base ring, over
+    submonoids of Z and Z[X] with two to four prime generators."""
     for _ in range(trials):
-        S = GeneratedSubmonoid(ZZ, [rng.choice(_INT_PRIMES)])
-        while True:
-            p = rand_irreducible_z(rng)
-            if avoids(S, p):
-                break
-        d = rand_int(rng, 50, nonzero=True)
-        s = S.member((rng.randint(0, 3),))
-        a = ZZ.mul(p, d)
-        c = ZZ.mul(s.value, d)
-        if pou_lift_dvd(S, p, a, s, c) != lift_dvd(S, p, a, s, c):
-            raise SelfTestFailure("prime-or-unit lift disagrees with the general chain")
-        oracle = BaseEngineOracle(S, factor_integer)
-        b = rand_int(rng, 50, nonzero=True)
-        general = transfer_prime_divides(S, p, a, b, oracle)
-        pou = pou_transfer_prime_divides(S, p, a, b, oracle)
-        if general != pou:
-            raise SelfTestFailure("prime-or-unit transfer disagrees with the general chain")
-    multi = GeneratedSubmonoid(ZZ, [2, 3])
-    try:
-        pou_lift_dvd(multi, 5, 10, multi.member((1, 0)), 4)
-        raise SelfTestFailure("prime-or-unit chain accepted a two-generator submonoid")
-    except PreconditionError as e:
-        if "prime-or-unit" not in str(e):
-            raise SelfTestFailure("wrong error for the two-generator rejection")
+        if rng.random() < 0.5:
+            ring, engine, primes = ZZ, factor_integer, _INT_PRIMES
+        else:
+            ring, engine = ZX, factor_poly_zx
+            primes = tuple(ZX.make(c) for c in _ZX_PRIMES_COEFFS)
+        chosen = rng.sample(primes, rng.randint(3, 5))
+        p = ring.mul(rand_unit(rng, ring), chosen[0])
+        S = GeneratedSubmonoid(ring, chosen[1:])
+
+        def cofactor():
+            s = S.member(tuple(rng.randint(0, 2) for _ in S.generators))
+            return ring.mul(rand_elem(rng, ring, nonzero=True), s.value)
+
+        a, b = ring.mul(p, cofactor()), cofactor()
+        if rng.random() < 0.5:
+            a, b = b, a
+        side, d = transfer_prime_divides(S, p, a, b, BaseEngineOracle(S, engine))
+        if side == "right" and ring.exact_div(a, p) is not None:
+            raise SelfTestFailure("transfer_prime_divides passed over a left side that p divides")
+        exact = ring.exact_div(a if side == "left" else b, p)
+        if exact is None or not ring.eq(d, exact):
+            raise SelfTestFailure("transfer_prime_divides quotient differs from exact division")
 
 
 def suite_loc_zero_exclusion(rng, trials):
@@ -611,11 +609,11 @@ SUITES = {
     "descent_oracle_agreement": suite_descent_oracle_agreement,
     "descent_reconstruction": suite_descent_reconstruction,
     "loc_avoids_bruteforce": suite_loc_avoids_bruteforce,
-    "loc_chain_agreement": suite_loc_chain_agreement,
     "loc_clear_denominator": suite_loc_clear_denominator,
     "loc_embed_hom": suite_loc_embed_hom,
     "loc_generator_units": suite_loc_generator_units,
     "loc_split_conservation": suite_loc_split_conservation,
+    "loc_transfer_prime_divides": suite_loc_transfer_prime_divides,
     "loc_zero_exclusion": suite_loc_zero_exclusion,
     "parser_roundtrip": suite_parser_roundtrip,
     "rings_axioms": suite_rings_axioms,

@@ -13,8 +13,6 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from locfactor.basefactor import (
     check_factorization_unique,
     factor_bivariate,
@@ -23,14 +21,11 @@ from locfactor.basefactor import (
     is_irreducible,
 )
 from locfactor.descent import BaseEngineOracle
-from locfactor.errors import PreconditionError
 from locfactor.localization import (
     GeneratedSubmonoid,
     avoids,
     clear_denominator,
     lift_dvd,
-    pou_lift_dvd,
-    pou_transfer_prime_divides,
     split_prime_factors,
     transfer_prime_divides,
     witness_multiset,
@@ -155,6 +150,7 @@ def test_criterion_5_avoidance_reduction():
 
 
 def test_criterion_6_chain_correspondence():
+    # the prime-generated chain lifts exactly on single-generator submonoids...
     rng = random.Random("acceptance:chains")
     primes = (2, 3, 5, 7, 11, 13)
     for _ in range(100):
@@ -169,19 +165,21 @@ def test_criterion_6_chain_correspondence():
             d = rng.randint(-50, 50)
         s = S.member((rng.randint(0, 3),))
         a, c = p * d, s.value * d
-        assert pou_lift_dvd(S, p, a, s, c) == lift_dvd(S, p, a, s, c)
+        assert lift_dvd(S, p, a, s, c) == ZZ.exact_div(a, p)
         oracle = BaseEngineOracle(S, factor_integer)
         b = 0
         while b == 0:
             b = rng.randint(-50, 50)
-        assert pou_transfer_prime_divides(S, p, a, b, oracle) == transfer_prime_divides(
-            S, p, a, b, oracle
-        )
+        assert transfer_prime_divides(S, p, a, b, oracle) == ("left", ZZ.exact_div(a, p))
+    # ...and on the multi-generator ones, where a product of two distinct
+    # generators is neither prime nor a unit
     for gens in ([2, 3], [5, 7], [2, 3, 5]):
         S = GeneratedSubmonoid(ZZ, gens)
-        with pytest.raises(PreconditionError, match="prime-or-unit"):
-            pou_lift_dvd(S, 11, 22, S.member((1,) + (0,) * (len(gens) - 1)), 2 * 2)
-    _report(6, "prime-or-unit chain matches the general chain and rejects multi-generator submonoids")
+        s = S.member((1,) * len(gens))
+        assert lift_dvd(S, 11, 22, s, s.value * 2) == 2
+        oracle = BaseEngineOracle(S, factor_integer)
+        assert transfer_prime_divides(S, 11, 3 * s.value, 22, oracle) == ("right", 2)
+    _report(6, "prime-generated chain divides exactly on one and several generators")
 
 
 def test_criterion_7_case_split_dichotomy():

@@ -89,6 +89,25 @@ class TestExitCodes:
             assert main(["factor", text]) == 2
             assert time.monotonic() - t0 < 1
             assert capsys.readouterr().err.startswith("error: desk-scale limit: cannot prove")
+        # two primes near 10^14: Pollard rho gives up at its iteration budget
+        t0 = time.monotonic()
+        assert main(["factor", "100000000000031*100000000000067"]) == 2
+        assert time.monotonic() - t0 < 15
+        assert capsys.readouterr().err.startswith("error: desk-scale limit: Pollard rho found no factor")
+
+    def test_exponent_cap(self, capsys):
+        # refused before evaluation, which used to run without end
+        for argv in (["factor", "2^1000000"], ["factor", "X^100000000"], ["compare", "((X^9)^9)^9"]):
+            t0 = time.monotonic()
+            assert main(argv) == 2
+            assert time.monotonic() - t0 < 1
+            assert capsys.readouterr().err.startswith("error: desk-scale limit: exponent")
+
+    def test_deep_nesting(self, capsys):
+        # used to escape as a RecursionError traceback
+        assert main(["factor", "(" * 3000 + "X" + ")" * 3000]) == 1
+        assert capsys.readouterr().err == "error: parentheses nest deeper than 100 (at position 100)\n"
+        assert main(["factor", "(" * 100 + "X+1" + ")" * 100]) == 0
 
 
 class TestLeadingMinus:

@@ -10,7 +10,6 @@ from locfactor.descent import (
     LocalizationOracle,
     certify_prime,
     descend_factor,
-    descend_factor_pou,
     normalize_numerator,
 )
 from locfactor.errors import (
@@ -122,20 +121,6 @@ class TestDescendFactor:
 
         with pytest.raises(MathDomainError):
             descend_factor(0, s2, BaseEngineOracle(s2, factor_integer))
-
-
-class TestDescendFactorPou:
-    def test_agreement(self, sx, laurent_oracle):
-        f = ZX.make([0, 0, 1, 1])
-        general = descend_factor(f, sx, laurent_oracle)
-        pou = descend_factor_pou(f, sx, laurent_oracle)
-        assert check_factorization_unique(ZX, general.factorization, pou.factorization)
-        assert all(c.chain == "prime-or-unit" for c in pou.certificates)
-
-    def test_single_generator_required(self):
-        S = GeneratedSubmonoid(ZZ, [2, 3])
-        with pytest.raises(PreconditionError, match="prime-or-unit"):
-            descend_factor_pou(12, S, BaseEngineOracle(S, factor_integer))
 
 
 class TestBrokenOracles:

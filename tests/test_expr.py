@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from locfactor.errors import ParseError
-from locfactor.expr import parse_expr, parse_in_ring, render
+from locfactor.errors import DeskScaleError, ParseError
+from locfactor.expr import EXPONENT_CAP, parse_expr, parse_in_ring, render
 from locfactor.rings import LT, ZX, ZXY, ZZ
 from locfactor.selftest import rand_elem
 
@@ -38,6 +38,12 @@ class TestParsing:
         assert parse_expr("2(X+1)")[1] == ZX.make([2, 2])
         assert parse_expr("X(X+1)")[1] == ZX.make([0, 1, 1])
         assert parse_expr("12X^3")[1] == ZX.make([0, 0, 0, 12])
+
+    def test_long_sums_and_products(self):
+        # flat lists: a chain of 3,000 operations nests no deeper than one
+        assert parse_expr("+".join(["1"] * 3000)) == (ZZ, 3000)
+        assert parse_expr("-" + "-".join(["X"] * 3000))[1] == ZX.make([0, -3000])
+        assert parse_expr("*".join(["2"] * 3000)) == (ZZ, 2**3000)
 
     def test_whitespace_insensitive(self):
         assert parse_expr("X ^ 2-  1")[1] == parse_expr("X^2-1")[1]
@@ -74,6 +80,15 @@ class TestParseErrors:
     def test_unexpected_character(self):
         with pytest.raises(ParseError, match="position 2"):
             parse_expr("X $ 1")
+
+    def test_exponent_cap(self):
+        assert parse_expr(f"X^{EXPONENT_CAP}")[1] == ZX.make([0] * EXPONENT_CAP + [1])
+        assert parse_expr("(X^10)^10 + 3^89")[0] == ZX
+        for bad in (f"X^{EXPONENT_CAP + 1}", f"T^-{EXPONENT_CAP + 1}", "1-(X^10)^11", "2*((X+1)^5)^21"):
+            with pytest.raises(DeskScaleError, match="exponent"):
+                parse_expr(bad)
+        # rendered engine output is re-read without the cap
+        assert parse_in_ring("-T^-150", LT) == LT.t_power(-150, -1)
 
 
 class TestRendering:

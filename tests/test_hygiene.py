@@ -1,12 +1,14 @@
 """Source hygiene of the package, checked with the stdlib ``ast`` module:
-every module-level function and constant has exactly one definition, and no
-module imports a name it never uses."""
+every module-level function and constant has exactly one definition, every
+module-level function and class is used, and no module imports a name it
+never uses."""
 
 import ast
 from collections import defaultdict
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "locfactor"
+TESTS = Path(__file__).resolve().parent
 
 
 def _modules():
@@ -55,3 +57,40 @@ def test_no_unused_imports():
         if found
     }
     assert unused == {}
+
+
+def _references(tree):
+    """Names and attribute names read anywhere in tree."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_each_function_and_class_is_used():
+    modules = _modules()
+    readers = defaultdict(set)  # name -> the package's top-level statements that read it
+    for tree in modules.values():
+        for statement in tree.body:
+            for name in _references(statement):
+                readers[name].add(statement)
+    in_tests = set().union(*(_references(ast.parse(p.read_text(), str(p))) for p in TESTS.glob("*.py")))
+    exported = {
+        alias.asname or alias.name
+        for node in modules["__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("__")
+        and node.name not in exported | in_tests
+        and not readers[node.name] - {node}
+    ]
+    assert unused == []

@@ -1,5 +1,5 @@
-"""Localization layer: witnesses, fraction arithmetic, transfer algorithms,
-and the two-chain correspondence, including the documented error taxonomy."""
+"""Localization layer: witnesses, fraction arithmetic and the transfer
+algorithms, including the documented error taxonomy."""
 
 import pytest
 
@@ -18,9 +18,6 @@ from locfactor.localization import (
     frac_is_unit,
     frac_mul,
     lift_dvd,
-    pou_lift_dvd,
-    pou_transfer_irreducible,
-    pou_transfer_prime_divides,
     split_prime_factors,
     transfer_irreducible,
     transfer_prime_divides,
@@ -245,29 +242,3 @@ class TestTransferPrimeDivides:
         with pytest.raises(PreconditionError):
             transfer_prime_divides(s2, 3, 1, 1, oracle)
 
-
-class TestPrimeOrUnitChain:
-    def test_lift_matches_general(self, s2):
-        assert pou_lift_dvd(s2, 3, 9, s2.member((1,)), 6) == 3
-        assert pou_lift_dvd(s2, 3, 9, s2.member((1,)), 6) == lift_dvd(
-            s2, 3, 9, s2.member((1,)), 6
-        )
-
-    def test_multi_generator_rejected(self, s23):
-        with pytest.raises(PreconditionError, match="prime-or-unit"):
-            pou_lift_dvd(s23, 5, 10, s23.member((1, 0)), 4)
-        with pytest.raises(PreconditionError, match="prime-or-unit"):
-            pou_transfer_irreducible(s23, 5)
-
-    def test_pou_transfer_irreducible(self, sx):
-        cert = pou_transfer_irreducible(sx, ZX.make([1, 0, 1]))
-        assert cert.chain == "prime-or-unit"
-        p = ZX.make([1, 0, 1])
-        x = Fraction(ZX.make([0, 1, 0, 1]), sx.member((1,)))
-        assert cert.refute(x, embed(ZX.one, sx)) == "right"
-
-    def test_pou_transfer_prime_divides(self, s2):
-        oracle = BaseEngineOracle(s2, factor_integer)
-        general = transfer_prime_divides(s2, 3, 6, 5, oracle)
-        pou = pou_transfer_prime_divides(s2, 3, 6, 5, oracle)
-        assert general == pou

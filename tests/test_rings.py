@@ -200,3 +200,21 @@ def test_immutability():
     l = LT.one
     with pytest.raises(AttributeError):
         l.low = 3
+
+
+def test_pow_matches_repeated_multiplication():
+    # oracle: n-fold product; pow itself squares and multiplies
+    bases = {
+        ZZ: -3,
+        ZX: ZX.make([1, -2, 1]),
+        LT: LT.make(-1, [2, 0, 1]),
+        ZXY: ZXY.make([ZX.make([1, 1]), ZX.make([0, 2])]),
+        FRAC_ZX: FRAC_ZX.make(ZX.make([1, 1]), ZX.make([0, 1])),
+    }
+    for ring, a in bases.items():
+        product = ring.one
+        for n in range(20):
+            assert ring.eq(ring.pow(a, n), product)
+            product = ring.mul(product, a)
+    with pytest.raises(MathDomainError):
+        ZZ.pow(2, -1)
