@@ -5,7 +5,7 @@ The package is organized bottom-up:
 
 * ``rings``        -- exact arithmetic and the uniform ring contract
 * ``basefactor``   -- ground-truth engines (integers by sieve, Miller-Rabin and
-                      Pollard rho; Z[X] by Kronecker).  An integer with a
+                      Pollard rho; Z[X] by Zassenhaus).  An integer with a
                       probable-prime cofactor above the Miller-Rabin exact
                       bound (~3.3 * 10**24) is refused as desk-scale (exit 2)
 * ``localization`` -- prime-generated submonoids, fractions, transfer algorithms

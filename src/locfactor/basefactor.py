@@ -5,11 +5,13 @@ These are the base oracles everything else is cross-checked against:
 * ``factor_integer``     -- Z by a small-prime sieve, Miller-Rabin and Pollard
                             rho; a probable prime above the Miller-Rabin exact
                             bound (~3.3 * 10**24) is refused as desk-scale
-* ``kronecker_factor``   -- primitive integer polynomials, by evaluation /
-                            divisor interpolation (desk scale: degree <= 16,
+* ``kronecker_factor``   -- primitive integer polynomials, by Zassenhaus's
+                            algorithm: Berlekamp modulo a small prime, Hensel
+                            lifting, recombination (desk scale: degree <= 16,
                             coefficients <= 10**6); inside ``request_memo``
-                            each distinct input is searched once
-* ``factor_poly_zx``     -- content split + Kronecker on the primitive part
+                            each distinct input is factored once
+* ``factor_poly_zx``     -- content split + ``kronecker_factor`` on the
+                            primitive part
 * ``factor_poly_qx``     -- Q[X] via denominator clearing
 * ``factor_bivariate``   -- Z[X][Y] by packing Y -> X^D and regrouping the
                             univariate factors
@@ -61,8 +63,8 @@ MILLER_RABIN_EXACT_BOUND = 3317044064679887385961981
 # (CPython 3.11, one core of a 2-vCPU guest).
 POLLARD_RHO_BUDGET = 1_000_000
 
-# Kronecker answers of the open request, keyed on the input Poly; None when
-# no request is open
+# kronecker_factor answers of the open request, keyed on the input Poly;
+# None when no request is open
 _REQUEST_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
     "locfactor_request_memo", default=None
 )
@@ -195,132 +197,355 @@ def _pollard_rho(n: int) -> int:
     raise OracleViolationError(f"failed to split {n}")
 
 
-def _divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n >= 1."""
-    divs = [1]
-    last_p, last_count = None, 0
-    for p in factor_integer(n).factors:
-        if p == last_p:
-            last_count += 1
-        else:
-            last_p, last_count = p, 1
-        if last_count == 1:
-            base = list(divs)
-        divs += [d * p ** last_count for d in base]
-    return sorted(set(divs))
-
-
 # ---------------------------------------------------------------------------
-# Kronecker factorization of primitive integer polynomials
+# Zassenhaus factorization of primitive integer polynomials
+#
+# Polynomials in this section are plain int lists, lowest degree first, with
+# no trailing zeros.  The steps follow von zur Gathen & Gerhard, "Modern
+# Computer Algebra", ch. 14-15: squarefree part over Z, Berlekamp over a small
+# prime, Hensel lifting past a Mignotte bound, and recombination of the lifted
+# factors by trial division.
 
-def _eval_points(count: int) -> list[int]:
-    # 0, 1, -1, 2, -2, ... in that order
-    pts = [0]
-    k = 1
-    while len(pts) < count:
-        pts.append(k)
-        if len(pts) < count:
-            pts.append(-k)
-        k += 1
-    return pts
+# Berlekamp runs over the good primes in increasing order: those that do not
+# divide the leading coefficient and keep the input squarefree.  It stops at
+# the first prime where the input stays irreducible, at the first with at most
+# _FEW_MODULAR_FACTORS factors (recombining those tries at most 2^7 subsets,
+# which costs less than another Berlekamp pass at degree 16), or after
+# _BERLEKAMP_PRIMES good primes; the prime with the fewest factors is lifted.
+_BERLEKAMP_PRIMES = 5
+_FEW_MODULAR_FACTORS = 8
 
 
-def _list_add(a: list[int], b: list[int]) -> list[int]:
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _zx_primitive(a: list[int]) -> list[int]:
+    c = 0
+    for x in a:
+        c = math.gcd(c, x)
+    if a[-1] < 0:
+        c = -c
+    return [x // c for x in a]
+
+
+def _zx_exact_div(a: list[int], b: list[int]) -> Optional[list[int]]:
+    """a / b over Z, or None when b does not divide a."""
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return None
+    rem = list(a)
+    lead = b[-1]
+    q = [0] * (len(rem) - db)
+    for k in range(len(q) - 1, -1, -1):
+        t, r = divmod(rem[k + db], lead)
+        if r:
+            return None
+        if t:
+            q[k] = t
+            for i in range(db):
+                rem[k + i] -= t * b[i]
+    return None if any(rem[:db]) else q
+
+
+def _zx_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Gcd of primitive a and b by the primitive polynomial remainder
+    sequence, with positive leading coefficient."""
+    while b:
+        r, db, lead = list(a), len(b) - 1, b[-1]
+        while len(r) - 1 >= db:
+            t, shift = r[-1], len(r) - 1 - db
+            r = [x * lead for x in r]
+            for i, c in enumerate(b):
+                r[shift + i] -= t * c
+            _trim(r)
+        a, b = b, (_zx_primitive(r) if r else [])
+    return a
+
+
+def _add_mod(a: list[int], b: list[int], m: int) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
-    for i, v in enumerate(b):
-        out[i] += v
-    return out
+    for i, x in enumerate(b):
+        out[i] += x
+    return _trim([c % m for c in out])
 
 
-def _list_mul(a: list[int], b: list[int]) -> list[int]:
+def _sub_mod(a: list[int], b: list[int], m: int) -> list[int]:
+    return _add_mod(a, [-x for x in b], m)
+
+
+def _mul_mod(a: list[int], b: list[int], m: int) -> list[int]:
+    if not a or not b:
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
+    return _trim([c % m for c in out])
+
+
+def _divmod_mod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b modulo m; lc(b) is a unit mod m."""
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return [], _trim([c % m for c in a])
+    inv = pow(b[-1], -1, m)
+    rem = list(a)
+    q = [0] * (len(rem) - db)
+    for k in range(len(q) - 1, -1, -1):
+        t = rem[k + db] * inv % m
+        if t:
+            q[k] = t
+            for i in range(db):
+                rem[k + i] -= t * b[i]
+    return _trim(q), _trim([c % m for c in rem[:db]])
+
+
+def _monic_mod(a: list[int], m: int) -> list[int]:
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over GF(p) of a != 0 and b."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    return _monic_mod(a, p)
+
+
+def _gf_bezout(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """s, t with s*a + t*b == 1 over GF(p), for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub_mod(s0, _mul_mod(q, s1, p), p)
+        t0, t1 = t1, _sub_mod(t0, _mul_mod(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _berlekamp_basis(f: list[int], p: int) -> list[list[int]]:
+    """Basis of {v : v^p == v mod f} for a monic squarefree f over GF(p);
+    its size is the number of irreducible factors of f modulo p."""
+    n = len(f) - 1
+    low = f[:n]
+
+    def times_x(x: list[int]) -> list[int]:
+        top = x[-1]
+        return [(prev - top * c) % p for prev, c in zip([0] + x[:-1], low)]
+
+    x = [1] + [0] * (n - 1)
+    for _ in range(p):
+        x = times_x(x)
+    window = [x]  # X^k mod f for k = p .. p+n-1
+    for _ in range(n - 1):
+        x = times_x(x)
+        window.append(x)
+    # rows[i] = X^(i*p) mod f, each the combination of the window by the
+    # previous row; the window is packed into integers of n slots of w bits,
+    # wide enough for the unreduced sums
+    w = (n * p * p).bit_length()
+    mask = (1 << w) - 1
+    packed = [sum(c << (w * j) for j, c in enumerate(t)) for t in window]
+    rows = [[1] + [0] * (n - 1), window[0]]
+    while len(rows) < n:
+        v = sum(c * t for c, t in zip(rows[-1], packed))
+        rows.append([(v >> (w * j) & mask) % p for j in range(n)])
+    # v (Q - I) == 0, solved as (Q - I)^T v == 0 by Gauss-Jordan elimination
+    mat = [[rows[i][j] - (i == j) for i in range(n)] for j in range(n)]
+    pivots: list[int] = []
+    for col in range(n):
+        top = len(pivots)
+        hit = next((r for r in range(top, n) if mat[r][col] % p), None)
+        if hit is None:
+            continue
+        mat[top], mat[hit] = mat[hit], mat[top]
+        inv = pow(mat[top][col], -1, p)
+        pivot_row = mat[top] = [v * inv % p for v in mat[top]]
+        for r in range(n):
+            t = mat[r][col] % p
+            if t and r != top:
+                mat[r] = [(v - t * w) % p for v, w in zip(mat[r], pivot_row)]
+        pivots.append(col)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        v = [0] * n
+        v[free] = 1
+        for r, col in enumerate(pivots):
+            v[col] = -mat[r][free] % p
+        basis.append(_trim(v))
+    return basis
+
+
+def _berlekamp_split(f: list[int], basis: list[list[int]], p: int) -> list[list[int]]:
+    """The monic irreducible factors over GF(p) of a monic squarefree f, split
+    by gcds with v - s for the basis vectors v and every s in GF(p)."""
+    factors = [f]
+    for v in basis:
+        if len(factors) == len(basis):
+            break
+        if len(v) < 2:
+            continue  # a constant separates no factors
+        split = []
+        for u in factors:
+            vu = _divmod_mod(v, u, p)[1]
+            for s in range(p):
+                if len(u) < 2:
+                    break
+                g = _gf_gcd(u, _sub_mod(vu, [s], p), p)
+                if len(g) > 1:
+                    split.append(g)
+                    u = _divmod_mod(u, g, p)[0]
+        factors = split
+    return factors
+
+
+def _hensel_step(m, f, g, h, s, t, last):
+    """Lift f == g*h and s*g + t*h == 1 (h monic) from modulus m to m^2;
+    the last step leaves s and t unlifted."""
+    mm = m * m
+    e = _sub_mod(f, _mul_mod(g, h, mm), mm)
+    q, r = _divmod_mod(_mul_mod(s, e, mm), h, mm)
+    g = _add_mod(g, _add_mod(_mul_mod(t, e, mm), _mul_mod(q, g, mm), mm), mm)
+    h = _add_mod(h, r, mm)
+    if last:
+        return g, h, s, t
+    b = _sub_mod(_add_mod(_mul_mod(s, g, mm), _mul_mod(t, h, mm), mm), [1], mm)
+    c, d = _divmod_mod(_mul_mod(s, b, mm), h, mm)
+    s = _sub_mod(s, d, mm)
+    t = _sub_mod(t, _add_mod(_mul_mod(t, b, mm), _mul_mod(c, g, mm), mm), mm)
+    return g, h, s, t
+
+
+def _hensel_lift(f: list[int], factors: list[list[int]], p: int, steps: int) -> list[list[int]]:
+    """Monic lifts modulo p^(2^steps) of the monic factors of f modulo p,
+    split in halves down a factor tree."""
+    if len(factors) == 1:
+        return [_monic_mod(f, p ** (2**steps))]
+    k = len(factors) // 2
+    g = [f[-1] % p]
+    for u in factors[:k]:
+        g = _mul_mod(g, u, p)
+    h = [1]
+    for u in factors[k:]:
+        h = _mul_mod(h, u, p)
+    s, t = _gf_bezout(g, h, p)
+    m = p
+    for i in range(steps):
+        g, h, s, t = _hensel_step(m, f, g, h, s, t, i == steps - 1)
+        m *= m
+    return _hensel_lift(g, factors[:k], p, steps) + _hensel_lift(h, factors[k:], p, steps)
+
+
+def _recombine(f: list[int], lifted: list[list[int]], mod: int) -> list[int]:
+    """Irreducible factors over Z of a squarefree primitive f with f(0) != 0,
+    from the monic lifts of its modular factors.  mod exceeds twice the
+    coefficients of lc(f)/lc(g) * g for every divisor g of f, so each subset
+    of lifts gives its candidate exactly (the leading-coefficient trick)."""
+    half = mod // 2
+    todo = list(range(len(lifted)))
+    found = []
+    size = 1
+    while 2 * size <= len(todo):
+        lead = f[-1]
+        subsets = itertools.combinations(todo, size)
+        if 2 * size == len(todo):  # skip the complements of subsets tried
+            subsets = ((todo[0],) + s for s in itertools.combinations(todo[1:], size - 1))
+        for subset in subsets:
+            c0 = lead
+            for i in subset:
+                c0 = c0 * lifted[i][0] % mod
+            c0 = c0 - mod if c0 > half else c0
+            if c0 == 0 or lead * f[0] % c0:
+                continue  # the constant term rules the candidate out
+            g = [lead]
+            for i in subset:
+                g = _mul_mod(g, lifted[i], mod)
+            g = _zx_primitive([c - mod if c > half else c for c in g])
+            q = _zx_exact_div(f, g)
+            if q is not None:
+                found.append(g)
+                f = q
+                todo = [i for i in todo if i not in subset]
+                break
+        else:
+            size += 1
+    found.append(f)
+    return found
+
+
+def _factor_squarefree(f: list[int]) -> list[list[int]]:
+    """Irreducible factors of a squarefree primitive f with positive leading
+    coefficient and f(0) != 0."""
+    n = len(f) - 1
+    if n == 1:
+        return [f]
+    if n == 2:  # reducible exactly when the discriminant is a square
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        root = math.isqrt(disc) if disc > 0 else 0
+        if root * root != disc:
+            return [f]
+        g = _zx_primitive([b - root, 2 * a])
+        return [g, _zx_exact_div(f, g)]
+    best = None
+    good = 0
+    for p in _small_primes():
+        if f[-1] % p == 0:
+            continue
+        fp = _monic_mod([c % p for c in f], p)
+        if len(_gf_gcd(fp, _trim([i * c % p for i, c in enumerate(fp)][1:]), p)) > 1:
+            continue
+        basis = _berlekamp_basis(fp, p)
+        if len(basis) == 1:
+            return [f]
+        if best is None or len(basis) < len(best[2]):
+            best = (p, fp, basis)
+        good += 1
+        if good == _BERLEKAMP_PRIMES or len(basis) <= _FEW_MODULAR_FACTORS:
+            break
+    p, fp, basis = best
+    # vzGG 15.19: 2 * |lc| * sqrt(n+1) * 2^n * max |coefficient|
+    big = max(abs(c) for c in f)
+    bound = 2 * f[-1] * 2**n * (math.isqrt((n + 1) * big * big) + 1)
+    mod, steps = p, 0
+    while mod <= bound:
+        mod, steps = mod * mod, steps + 1
+    lifted = _hensel_lift(f, _berlekamp_split(fp, basis, p), p, steps)
+    return _recombine(f, lifted, mod)
+
+
+def _zassenhaus(f: list[int]) -> list[list[int]]:
+    """Irreducible factors, with multiplicity, of a primitive f with positive
+    leading coefficient; multiplicities come from exact division by the
+    factors of the squarefree part f / gcd(f, f')."""
+    m = 0
+    while f[m] == 0:
+        m += 1
+    out = [[0, 1]] * m
+    f = f[m:]
+    if len(f) == 1:
+        return out
+    if len(f) == 2:
+        return out + [f]
+    g = _zx_gcd(f, _zx_primitive([i * c for i, c in enumerate(f)][1:]))
+    if len(g) == 1:
+        return out + _factor_squarefree(f)
+    for q in _factor_squarefree(_zx_exact_div(f, g)):
+        rest = _zx_exact_div(f, q)
+        while rest is not None:
+            out.append(q)
+            f = rest
+            rest = _zx_exact_div(f, q)
     return out
-
-
-def _find_proper_factor(g: Poly) -> Optional[Poly]:
-    """First proper divisor of a primitive g found by the interpolation search,
-    canonicalized; None certifies irreducibility."""
-    n = len(g.coeffs) - 1
-    half = n // 2
-    if half == 0:
-        return None
-    pts = _eval_points(half + 1)
-    vals = [ZX.evaluate(g, x) for x in pts]
-    for x, v in zip(pts, vals):
-        if v == 0:
-            return ZX.make([-x, 1])
-
-    m = len(pts)
-    # NT[j][t] = prod_{i<j} (pts[t] - pts[i]); column j is the Newton basis
-    # polynomial N_j evaluated at every point
-    nt = [[1] * m for _ in range(m)]
-    for j in range(1, m):
-        for t in range(m):
-            nt[j][t] = nt[j - 1][t] * (pts[t] - pts[j - 1])
-
-    level0 = _divisors(abs(vals[0]))
-    buckets = [None]
-    for k in range(1, m):
-        mod = abs(nt[k][k])
-        table: dict[int, list[int]] = {}
-        for dv in _divisors(abs(vals[k])):
-            for s in (-dv, dv):
-                table.setdefault(s % mod, []).append(s)
-        for lst in table.values():
-            lst.sort()
-        buckets.append((mod, table))
-
-    cs = [0] * m
-
-    def search(k: int, d: int) -> Optional[Poly]:
-        if k > d:
-            if cs[d] == 0:
-                return None  # degree < d; already covered by a smaller d
-            poly: list[int] = [0]
-            basis = [1]
-            for j in range(d + 1):
-                if cs[j]:
-                    poly = _list_add(poly, [cs[j] * b for b in basis])
-                if j < d:
-                    basis = _list_mul(basis, [-pts[j], 1])
-            cand = ZX.make(poly)
-            if poly_content(cand) != 1:
-                return None  # a primitive polynomial has primitive divisors
-            _, candc = ZX.canonical_associate(cand)
-            if ZX.exact_div(g, candc) is not None:
-                return candc
-            return None
-        if k == 0:
-            choices = level0  # sign symmetry: g and -g divide together
-            for v in choices:
-                cs[0] = v
-                hit = search(1, d)
-                if hit is not None:
-                    return hit
-            return None
-        mod, table = buckets[k]
-        partial = sum(cs[j] * nt[j][k] for j in range(k))
-        for v in table.get(partial % mod, ()):
-            delta = v - partial
-            if delta % nt[k][k]:
-                continue
-            cs[k] = delta // nt[k][k]
-            hit = search(k + 1, d)
-            if hit is not None:
-                return hit
-        return None
-
-    for d in range(1, half + 1):
-        hit = search(0, d)
-        if hit is not None:
-            return hit
-    return None
 
 
 @contextmanager
@@ -342,7 +567,7 @@ def request_memo():
 
 @contextmanager
 def memo_bypassed():
-    """Hide the open memo, so every Kronecker answer is recomputed."""
+    """Hide the open memo, so every ``kronecker_factor`` answer is recomputed."""
     token = _REQUEST_MEMO.set(None)
     try:
         yield
@@ -353,10 +578,13 @@ def memo_bypassed():
 def kronecker_factor(p: Poly) -> PrimeFactorization:
     """Factor a primitive integer polynomial into canonical irreducibles.
 
-    Irreducibility of every emitted factor is certified by exhausting all
-    candidate divisors of degree up to half the factor's degree.  Inside
-    ``request_memo`` each distinct input is searched once; only successful
-    answers are kept.
+    The engine is Zassenhaus's: squarefree part, Berlekamp modulo a small
+    prime, Hensel lifting past a Mignotte bound, and exhaustive recombination
+    of the lifted factors, so a factor is emitted only when no subset of its
+    modular factors yields a proper divisor.  The divisor search this entry
+    point is named after is ``selftest.kronecker_reference``, the independent
+    engine it is checked against.  Inside ``request_memo`` each distinct input
+    is factored once; only successful answers are kept.
     """
     memo = _REQUEST_MEMO.get()
     if memo is None:
@@ -380,21 +608,9 @@ def _kronecker_factor_uncached(p: Poly) -> PrimeFactorization:
         raise DeskScaleError(
             f"coefficient magnitude exceeds the desk-scale cap {KRONECKER_COEFF_CAP}"
         )
-    unit, work0 = ZX.canonical_associate(p)
-    todo = [work0]
-    out = []
-    while todo:
-        g = todo.pop()
-        if len(g.coeffs) == 1:
-            continue  # canonical primitive constant is 1
-        f = _find_proper_factor(g)
-        if f is None:
-            out.append(g)
-            continue
-        h = ZX.exact_div(g, f)
-        todo.append(f)
-        todo.append(h)
-    pf = PrimeFactorization.of(ZX, unit, out)
+    unit, work = ZX.canonical_associate(p)
+    out = [] if len(work.coeffs) == 1 else _zassenhaus(list(work.coeffs))
+    pf = PrimeFactorization.of(ZX, unit, [Poly(q) for q in out])
     if pf.value(ZX) != p:
         raise OracleViolationError("kronecker reconstruction failed")
     return pf
@@ -405,7 +621,7 @@ def _kronecker_factor_uncached(p: Poly) -> PrimeFactorization:
 
 def factor_poly_zx(p: Poly) -> PrimeFactorization:
     """Factor over Z[X]: integer primes of the content as constant factors,
-    Kronecker irreducibles for the primitive part."""
+    ``kronecker_factor`` irreducibles for the primitive part."""
     if not p.coeffs:
         raise MathDomainError("cannot factor zero")
     c, prim = poly_primitive(p)

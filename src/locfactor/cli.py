@@ -66,7 +66,7 @@ def run_factor(ring: Ring, element, route: str) -> FactorOutcome:
     """Dispatch to the engine matching the ring and requested route.
 
     The dispatch runs inside one request memo, so each distinct primitive
-    polynomial goes through the Kronecker search once.
+    polynomial is factored by the Z[X] engine once.
     """
     t0 = time.perf_counter()
     with request_memo():

@@ -3,15 +3,15 @@
 Three structurally different ways to factor over Z[X], cross-checked against
 each other:
 
-* direct        -- ``factor_poly_zx`` (content + Kronecker), no localization
+* direct        -- ``factor_poly_zx`` (content + Zassenhaus), no localization
 * laurent       -- localize at the powers of X; the Laurent ring factorizer is
                    the oracle and the descent layer pulls factors back
 * fraction field-- localize at the constant primes that actually occur; the
                    Q[X] factorizer is the oracle
 
 plus the bivariate route for Z[X][Y], which descends from polynomials with
-rational-function coefficients and is cross-checked against the Kronecker
-substitution engine.
+rational-function coefficients and is cross-checked against the Y -> X^D
+(Kronecker) substitution engine.
 """
 
 from __future__ import annotations

@@ -2,9 +2,12 @@
 (brute-force trial division, exhaustive divisor search, naive expansion)."""
 
 import random
+from collections import Counter
 from fractions import Fraction as QFrac
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from locfactor.basefactor import (
     MILLER_RABIN_EXACT_BOUND,
@@ -19,7 +22,7 @@ from locfactor.basefactor import (
 )
 from locfactor.errors import DeskScaleError, MathDomainError, PreconditionError
 from locfactor.rings import QX, ZX, ZXY, ZZ, poly_content, poly_primitive
-from locfactor.selftest import rand_zx
+from locfactor.selftest import kronecker_reference, rand_zx
 
 
 def brute_factor(n):
@@ -143,6 +146,33 @@ class TestKronecker:
     def test_repeated_factors(self):
         p = ZX.make([1, 2, 1])  # (X+1)^2
         assert kronecker_factor(p).factors == (ZX.make([1, 1]), ZX.make([1, 1]))
+
+
+_generator = st.lists(st.integers(-6, 6), min_size=2, max_size=6).map(ZX.make)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_generator, min_size=1, max_size=6), st.sampled_from((1, -1)))
+def test_engine_factors_products_of_generators(generators, sign):
+    """Products of one to six random factors, degree <= 16 and coefficients
+    inside the caps, against the generators' own factorizations and the
+    Kronecker reference."""
+    gens, p = [], ZX.constant(sign)
+    for g in generators:
+        if len(g.coeffs) < 2 or len(p.coeffs) + len(g.coeffs) - 2 > 16:
+            continue
+        _, g = poly_primitive(g)
+        gens.append(g)
+        p = ZX.mul(p, g)
+    assume(gens and max(abs(c) for c in p.coeffs) <= 10**6)
+    pf = kronecker_factor(p)
+    assert expand(pf, ZX) == p
+    assert list(pf.factors) == sorted(pf.factors, key=ZX.sort_key)
+    for q in pf.factors:
+        assert poly_content(q) == 1 and q.coeffs[-1] > 0
+        if len(q.coeffs) - 1 <= 8:
+            assert kronecker_reference(q).factors == (q,)
+    assert Counter(pf.factors) == sum((Counter(kronecker_factor(g).factors) for g in gens), Counter())
 
 
 class TestFactorPolyZX:

@@ -5,10 +5,14 @@ import json
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 from locfactor.cli import main
+from locfactor.expr import parse_in_ring, render
+from locfactor.rings import ZX
+from locfactor.selftest import kronecker_reference
 
 
 def run_cli(args, stdin_text=None, monkeypatch=None):
@@ -94,6 +98,26 @@ class TestExitCodes:
         assert main(["factor", "100000000000031*100000000000067"]) == 2
         assert time.monotonic() - t0 < 15
         assert capsys.readouterr().err.startswith("error: desk-scale limit: Pollard rho found no factor")
+
+    def test_inputs_the_divisor_search_could_not_finish(self, capsys):
+        # each ran from 30 s to over a minute under Kronecker's divisor
+        # search; each is irreducible (sympy agrees)
+        for text in ("X^16+720720", "X^16+997920*X^8+720720", "X^12+360360*X^6+720720*X+720720"):
+            t0 = time.monotonic()
+            assert main(["factor", "--route", "direct", text]) == 0
+            assert time.monotonic() - t0 < 2
+            factors = capsys.readouterr().out.split("factors:\n")[1].splitlines()
+            assert len(factors) == 1 and factors[0].endswith("(multiplicity 1)")
+
+    def test_degree_16_product_of_small_factors(self, capsys):
+        text = "(X+1)^2*(X-1)*(2X-1)*(X^2+X+1)*(X^2-2)*(X^2+1)*(X^3+X+1)*(X^3-X+1)"
+        assert main(["factor", "--route", "direct", "--json", text]) == 0
+        got = Counter()
+        for f in json.loads(capsys.readouterr().out)["factors"]:
+            got[f["expr"]] += f["multiplicity"]
+        reference = kronecker_reference(parse_in_ring(text, ZX))
+        assert got == Counter(render(ZX, q) for q in reference.factors)
+        assert sum(got.values()) == 9
 
     def test_exponent_cap(self, capsys):
         # refused before evaluation, which used to run without end

@@ -1,6 +1,6 @@
-"""The request-scoped Kronecker memo: one search per distinct input, no
-leakage across requests, certificate replay from scratch, and identical
-output with and without the memo."""
+"""The request-scoped memo of the Z[X] engine: one factorization per
+distinct input, no leakage across requests, certificate replay from scratch,
+and identical output with and without the memo."""
 
 import contextlib
 import io
@@ -19,7 +19,7 @@ from locfactor.routes import compare_routes, factor_zx_via_laurent
 
 
 def _count_worker(monkeypatch) -> list:
-    """Record every input of the uncached Kronecker worker."""
+    """Record every input of the uncached Z[X] engine."""
     seen = []
     worker = basefactor._kronecker_factor_uncached
 

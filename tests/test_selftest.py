@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
-from locfactor import selftest
+from locfactor import basefactor, selftest
+from locfactor.basefactor import PrimeFactorization
 from locfactor.errors import PreconditionError
+from locfactor.rings import ZX
 from locfactor.selftest import SUITES, run_selftest
 
 
@@ -43,6 +45,26 @@ def test_sabotaged_engine_is_caught(monkeypatch):
     assert not report.ok
     failing = [l for l in report.lines if "FAIL" in l]
     assert any("loc_clear_denominator" in l and "clear_denominator" in l for l in failing)
+
+
+def test_unsplit_engine_factor_is_caught(monkeypatch):
+    """An engine that leaves a reducible factor unsplit still multiplies back
+    to its input, so only the comparison with the reference engine fails."""
+    worker = basefactor._kronecker_factor_uncached
+
+    def unsplit(p):
+        pf = worker(p)
+        if len(pf.factors) < 2:
+            return pf
+        merged = ZX.mul(pf.factors[0], pf.factors[1])
+        return PrimeFactorization.of(ZX, pf.unit, (merged,) + pf.factors[2:])
+
+    monkeypatch.setattr(basefactor, "_kronecker_factor_uncached", unsplit)
+    report = run_selftest(seed=42, trials=20)
+    lines = {line.split(":")[0]: line for line in report.lines}
+    assert "FAIL" in lines["base_engine_reference"]
+    assert "Kronecker reference" in lines["base_engine_reference"]
+    assert lines["base_reconstruction"] == "base_reconstruction: ok (20 trials)"
 
 
 def test_cli_requests_do_not_load_the_suites():
