@@ -10,7 +10,9 @@ The package is organized bottom-up:
                       bound (~3.3 * 10**24) is refused as desk-scale (exit 2)
 * ``localization`` -- prime-generated submonoids, fractions, transfer algorithms
 * ``descent``      -- primality certificates and the descent factorizer
-* ``routes``       -- Laurent / fraction-field / bivariate routes and oracles
+* ``routes``       -- Laurent / fraction-field / bivariate routes; the Laurent
+                      oracle, and one constant-primes oracle serving both
+                      Z[X] (via Q[X]) and Z[X][Y] (via Frac(Z[X])[Y])
 * ``expr``         -- expression parsing and rendering
 * ``selftest``     -- seeded randomized property suites
 * ``cli``          -- the ``locfactor`` command

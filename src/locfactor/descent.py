@@ -55,8 +55,9 @@ class LocalizationOracle:
     of all returned fractions must equal the input under cross-multiplication
     and every prime fraction's numerator must live in the base ring.
     ``divides`` answers embedded divisibility with an (s, c) witness such that
-    s.value * target == subject * c, or None.  ``is_prime_embedded`` decides
-    primality of an embedded base-ring element in the localization.
+    s.value * target == subject * c, or None; it reads the numerators only,
+    since every caller passes ``embed(...)`` fractions.  ``is_prime_embedded``
+    decides primality of an embedded base-ring element in the localization.
     """
 
     name = "localization oracle"

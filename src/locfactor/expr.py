@@ -16,7 +16,8 @@ T cannot be mixed with X or Y.  The renderer produces strings this grammar
 accepts, so parse(render(e)) == e for every engine-produced element.
 
 Sums and products parse to flat lists, so only parentheses deepen the tree;
-they may nest ``NESTING_DEPTH_CAP`` deep.  ``parse_expr`` refuses input whose
+they may nest ``NESTING_DEPTH_CAP`` deep, and an integer literal may have
+``LITERAL_DIGITS_CAP`` digits.  ``parse_expr`` refuses input whose
 powers, multiplied through their nesting, exceed ``EXPONENT_CAP`` before it
 evaluates anything.
 """
@@ -33,6 +34,11 @@ _VARS = ("X", "Y", "T")
 NESTING_DEPTH_CAP = 100
 # Every exponent in the tests, golden files and benchmark corpora is <= 89.
 EXPONENT_CAP = 100
+# Integer literals are at most this many digits; below the cap the tests use
+# at most 31 and the benchmark corpora 12.  The cap stays below 640, the least
+# limit ``sys.set_int_max_str_digits`` accepts, so ``int()`` never refuses a
+# literal that got past it.
+LITERAL_DIGITS_CAP = 100
 
 
 def _tokenize(text: str) -> list[tuple]:
@@ -48,6 +54,10 @@ def _tokenize(text: str) -> list[tuple]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > LITERAL_DIGITS_CAP:
+                raise DeskScaleError(
+                    f"desk-scale limit: integer literal of {j - i} digits exceeds {LITERAL_DIGITS_CAP}"
+                )
             out.append(("int", int(text[i:j]), i))
             i = j
             continue

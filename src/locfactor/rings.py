@@ -604,6 +604,11 @@ def qx_from_zx(p: Poly) -> Poly:
     return Poly(tuple(Fraction(c) for c in p.coeffs))
 
 
+def fxy_from_zxy(p: Poly) -> Poly:
+    """The image of a Z[X][Y] polynomial in Frac(Z[X])[Y]."""
+    return Poly(tuple(FRAC_ZX.from_poly(c) for c in p.coeffs))
+
+
 def zx_clear_denominators(p: Poly) -> tuple[int, Poly]:
     """Smallest d > 0 with d*p integral; returns (d, d*p as an integer Poly)."""
     d = 1

@@ -6,19 +6,24 @@ each other:
 * direct        -- ``factor_poly_zx`` (content + Zassenhaus), no localization
 * laurent       -- localize at the powers of X; the Laurent ring factorizer is
                    the oracle and the descent layer pulls factors back
-* fraction field-- localize at the constant primes that actually occur; the
-                   Q[X] factorizer is the oracle
+* fraction field-- localize at the constant primes that actually occur;
+                   Q[X] is the oracle
 
 plus the bivariate route for Z[X][Y], which descends from polynomials with
 rational-function coefficients and is cross-checked against the Y -> X^D
 (Kronecker) substitution engine.
+
+The fraction-field and bivariate routes are one construction, as in the
+paper: R[Y] localized at the constant primes of R and compared with
+Frac(R)[Y], for R = Z and R = Z[X].  ``ConstantPrimesOracle`` realizes it
+once, from the ``CoefficientRing`` records ``OVER_Z`` and ``OVER_ZX``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import expr
 from .basefactor import (
@@ -26,15 +31,14 @@ from .basefactor import (
     check_factorization_unique,
     factor_bivariate,
     factor_integer,
-    factor_poly_qx,
     factor_poly_zx,
+    kronecker_factor,
     request_memo,
 )
 from .descent import DescentResult, LocalizationOracle, certify_prime, descend_factor
 from .errors import MathDomainError, OracleViolationError
 from .localization import Fraction, GeneratedSubmonoid, SMember
 from .rings import (
-    FRAC_ZX,
     FXY,
     LT,
     QX,
@@ -43,6 +47,8 @@ from .rings import (
     Element,
     Laurent,
     Poly,
+    PolynomialRing,
+    fxy_from_zxy,
     laurent_to_poly,
     poly_primitive,
     qx_from_zx,
@@ -138,84 +144,93 @@ def factor_zx_via_laurent(f: Poly) -> DescentResult:
 
 
 # ---------------------------------------------------------------------------
-# fraction-field route for Z[X]
+# constant primes: R[Y] localized at the constant primes of R, for R = Z, Z[X]
+
+@dataclass(frozen=True)
+class CoefficientRing:
+    """What the constant-primes oracle needs of the coefficient ring R."""
+
+    name: str  # the oracle's name in certificates
+    field_poly: PolynomialRing  # Frac(R)[Y]
+    to_field: Callable  # R[Y] -> Frac(R)[Y]
+    clear: Callable  # Frac(R)[Y] -> (d in R, d*p in R[Y])
+    primitive: Callable  # R[Y] -> (content in R, primitive part)
+
+
+OVER_Z = CoefficientRing("Q[X] factorization", QX, qx_from_zx, zx_clear_denominators, poly_primitive)
+OVER_ZX = CoefficientRing(
+    "Frac(Z[X])[Y] factorization", FXY, fxy_from_zxy, zxy_clear_denominators, zxy_primitive
+)
+
+
+class ConstantPrimesOracle(LocalizationOracle):
+    """Localization of R[Y] at constant primes of R, realized by Frac(R)[Y].
+
+    By Gauss's lemma a primitive polynomial factors the same way over R and
+    over Frac(R), and the content is a unit of Frac(R)[Y]; so ``engine``, the
+    R[Y] factorizer of primitive polynomials, answers for Frac(R)[Y] and the
+    prime fractions need no denominators.  The engine is passed in rather
+    than captured, so a caller that rebinds it by name is seen here too.
+    """
+
+    def __init__(self, S: GeneratedSubmonoid, R: CoefficientRing, engine):
+        self.S = S
+        self.R = R
+        self.engine = engine
+        self.name = R.name
+
+    def factor_fraction(self, x: Fraction) -> tuple[Fraction, tuple]:
+        ring = self.S.ring
+        c, prim = self.R.primitive(x.num)
+        pf = self.engine(prim)
+        unit_frac = Fraction(ring.mul(ring.constant(c), pf.unit), x.den)
+        return (unit_frac, tuple(Fraction(q, self.S.one_member()) for q in pf.factors))
+
+    def divides(self, x: Fraction, y: Fraction) -> Optional[tuple[SMember, Element]]:
+        R, S = self.R, self.S
+        if S.ring.is_zero(x.num):
+            return None
+        quot, rem = R.field_poly.divmod(R.to_field(y.num), R.to_field(x.num))
+        if rem.coeffs:
+            return None
+        d, cleared = R.clear(quot)
+        exps, rest = S.strip(S.ring.constant(d))
+        if rest != S.ring.one:
+            return None  # no witness with denominator inside this submonoid
+        return (S.member(exps), cleared)
+
+    def is_prime_embedded(self, r: Element) -> bool:
+        if self.S.ring.is_zero(r):
+            return False
+        _, prim = self.R.primitive(r)
+        if len(prim.coeffs) <= 1:
+            return False  # constants are units over the fraction field
+        return len(self.engine(prim).factors) == 1
+
 
 def fracfield_submonoid(f: Poly) -> GeneratedSubmonoid:
     """Constant primes participating in f's fraction-field factorization.
 
     The full submonoid of the construction is generated by all constant
-    primes; only finitely many can occur for a fixed input, so the generator
-    list is grown from the content, the leading coefficient, and the monic
-    factor denominators seen in a prepass.
+    primes; only finitely many can occur for a fixed input, so the generators
+    are the primes of the content and of the leading coefficient.  These also
+    cover the denominators of the monic Q[X] factors: each is the leading
+    coefficient of a primitive integer factor, which divides the leading
+    coefficient of the primitive part.
     """
     if ZX.is_zero(f):
         raise MathDomainError("cannot factor zero")
     c, prim = poly_primitive(f)
-    primes: list[int] = []
-    primes += factor_integer(c).factors
-    primes += factor_integer(prim.coeffs[-1]).factors
-    for m in factor_poly_qx(qx_from_zx(f)).factors:
-        primes += factor_integer(zx_clear_denominators(m)[0]).factors
+    primes = factor_integer(c).factors + factor_integer(prim.coeffs[-1]).factors
     return GeneratedSubmonoid(ZX, [ZX.constant(p) for p in primes])
-
-
-class FieldPolyOracle(LocalizationOracle):
-    """Localization of Z[X] at constant primes, realized by the Q[X] engine."""
-
-    name = "Q[X] factorization"
-
-    def __init__(self, S: GeneratedSubmonoid):
-        self.S = S
-
-    def _constant_member(self, d: int) -> SMember:
-        exps, rest = self.S.strip(ZX.constant(d))
-        if not ZX.is_unit(rest) or rest != ZX.one:
-            raise OracleViolationError(f"denominator {d} lies outside the submonoid")
-        return self.S.member(exps)
-
-    def factor_fraction(self, x: Fraction) -> tuple[Fraction, tuple]:
-        S = self.S
-        qf = factor_poly_qx(qx_from_zx(x.num))
-        lead = qf.unit.coeffs[0]
-        unit_den = self._constant_member(lead.denominator).mul(x.den)
-        unit_frac = Fraction(ZX.constant(lead.numerator), unit_den)
-        primes = []
-        for m in qf.factors:
-            d, cleared = zx_clear_denominators(m)
-            primes.append(Fraction(cleared, self._constant_member(d)))
-        return (unit_frac, tuple(primes))
-
-    def divides(self, x: Fraction, y: Fraction) -> Optional[tuple[SMember, Element]]:
-        if ZX.is_zero(x.num):
-            return None
-        quot, rem = QX.divmod(qx_from_zx(y.num), qx_from_zx(x.num))
-        if rem.coeffs:
-            return None
-        d, cleared = zx_clear_denominators(quot)
-        exps, rest = self.S.strip(ZX.constant(d))
-        if rest != ZX.one:
-            return None  # no witness with denominator inside this submonoid
-        return (self.S.member(exps), cleared)
-
-    def is_prime_embedded(self, r: Element) -> bool:
-        if ZX.is_zero(r):
-            return False
-        rq = qx_from_zx(r)
-        if QX.is_unit(rq):
-            return False
-        return len(factor_poly_qx(rq).factors) == 1
 
 
 def factor_zx_via_fraction_field(f: Poly) -> DescentResult:
     """Descend a Z[X] factorization from Q[X] through the constant primes."""
     with request_memo():
         S = fracfield_submonoid(f)
-        oracle = FieldPolyOracle(S)
-        return descend_factor(f, S, oracle)
+        return descend_factor(f, S, ConstantPrimesOracle(S, OVER_Z, kronecker_factor))
 
-
-# ---------------------------------------------------------------------------
-# iterated (bivariate) route
 
 def iterated_submonoid(f: Poly) -> GeneratedSubmonoid:
     """Constant primes of Z[X] dividing the coefficient content of f."""
@@ -226,66 +241,13 @@ def iterated_submonoid(f: Poly) -> GeneratedSubmonoid:
     return GeneratedSubmonoid(ZXY, [ZXY.constant(q) for q in cf.factors])
 
 
-class RationalCoeffOracle(LocalizationOracle):
-    """Localization of Z[X][Y] at constant primes of Z[X], realized by
-    factoring over rational-function coefficients (clear denominators, reduce
-    to the bivariate base engine)."""
-
-    name = "Frac(Z[X])[Y] factorization"
-
-    def __init__(self, S: GeneratedSubmonoid):
-        self.S = S
-
-    def _constant_member(self, d: Poly) -> SMember:
-        exps, rest = self.S.strip(ZXY.constant(d))
-        if rest != ZXY.one:
-            raise OracleViolationError("denominator lies outside the submonoid")
-        return self.S.member(exps)
-
-    def _to_fxy(self, num: Poly, den_value: Poly) -> Poly:
-        inner_den = den_value.coeffs[0]
-        return FXY.make([FRAC_ZX.make(c, inner_den) for c in num.coeffs])
-
-    def factor_fraction(self, x: Fraction) -> tuple[Fraction, tuple]:
-        den, cleared = zxy_clear_denominators(self._to_fxy(x.num, x.den.value))
-        cont, pp = zxy_primitive(cleared)
-        bf = factor_bivariate(pp)
-        unit_num = ZXY.mul(ZXY.constant(cont), bf.unit)
-        unit_frac = Fraction(unit_num, self._constant_member(den))
-        primes = tuple(Fraction(h, self.S.one_member()) for h in bf.factors)
-        return (unit_frac, primes)
-
-    def divides(self, x: Fraction, y: Fraction) -> Optional[tuple[SMember, Element]]:
-        if ZXY.is_zero(x.num):
-            return None
-        fx = self._to_fxy(x.num, x.den.value)
-        fy = self._to_fxy(y.num, y.den.value)
-        quot, rem = FXY.divmod(fy, fx)
-        if rem.coeffs:
-            return None
-        den, cleared = zxy_clear_denominators(quot)
-        exps, rest = self.S.strip(ZXY.constant(den))
-        if rest != ZXY.one:
-            return None
-        return (self.S.member(exps), cleared)
-
-    def is_prime_embedded(self, r: Element) -> bool:
-        if ZXY.is_zero(r):
-            return False
-        _, pp = zxy_primitive(r)
-        if len(pp.coeffs) <= 1:
-            return False  # constants are units (or zero) over the fraction field
-        return len(factor_bivariate(pp).factors) == 1
-
-
 def factor_iterated(f: Poly) -> DescentResult:
     """Factor over Z[X][Y]; descent from rational-function coefficients,
     cross-checked against the Kronecker substitution engine."""
     with request_memo():
         direct = factor_bivariate(f)  # first: it rejects zero and the degree caps
         S = iterated_submonoid(f)
-        oracle = RationalCoeffOracle(S)
-        res = descend_factor(f, S, oracle)
+        res = descend_factor(f, S, ConstantPrimesOracle(S, OVER_ZX, factor_bivariate))
         if check_factorization_unique(ZXY, direct, res.factorization) is None:
             raise OracleViolationError(
                 "substitution engine and descent disagree: "

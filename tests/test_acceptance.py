@@ -221,4 +221,6 @@ def test_criterion_9_cli_golden_files():
     assert got == (GOLDEN / "factor_laurent.json").read_bytes()
     got = _run_cli(["compare", "12X"])
     assert got == (GOLDEN / "compare_12x.txt").read_bytes()
+    got = _run_cli(["factor", "--json", "2*X^2*Y^2-2*X^2"])
+    assert got == (GOLDEN / "factor_iterated.json").read_bytes()
     _report(9, "CLI outputs match the golden files byte for byte")

@@ -127,6 +127,18 @@ class TestExitCodes:
             assert time.monotonic() - t0 < 1
             assert capsys.readouterr().err.startswith("error: desk-scale limit: exponent")
 
+    def test_long_integer_literal(self, capsys):
+        # 5,000 digits used to escape as a ValueError traceback from int()
+        assert main(["factor", "7" * 5000]) == 2
+        assert capsys.readouterr().err == "error: desk-scale limit: integer literal of 5000 digits exceeds 100\n"
+        t0 = time.monotonic()
+        assert main(["factor", "1" + "0" * 99]) == 0  # 10^99, at the cap
+        assert time.monotonic() - t0 < 2
+        assert capsys.readouterr().out.split("factors:\n")[1].splitlines() == [
+            "  2  (multiplicity 99)",
+            "  5  (multiplicity 99)",
+        ]
+
     def test_deep_nesting(self, capsys):
         # used to escape as a RecursionError traceback
         assert main(["factor", "(" * 3000 + "X" + ")" * 3000]) == 1

@@ -4,7 +4,7 @@ diagnostics."""
 
 import pytest
 
-from locfactor.basefactor import check_factorization_unique, factor_integer, factor_poly_zx
+from locfactor.basefactor import check_factorization_unique, factor_integer, factor_poly_zx, kronecker_factor
 from locfactor.descent import (
     BaseEngineOracle,
     LocalizationOracle,
@@ -19,7 +19,7 @@ from locfactor.errors import (
 )
 from locfactor.localization import Fraction, GeneratedSubmonoid, embed
 from locfactor.rings import ZX, ZZ
-from locfactor.routes import FieldPolyOracle, LaurentOracle, powers_of_x_submonoid
+from locfactor.routes import OVER_Z, ConstantPrimesOracle, LaurentOracle, powers_of_x_submonoid
 
 
 @pytest.fixture
@@ -98,7 +98,7 @@ class TestDescendFactor:
 
     def test_constant_prime_route_fragment(self):
         S = GeneratedSubmonoid(ZX, [ZX.from_int(2)])
-        res = descend_factor(ZX.make([2, 2]), S, FieldPolyOracle(S))
+        res = descend_factor(ZX.make([2, 2]), S, ConstantPrimesOracle(S, OVER_Z, kronecker_factor))
         assert res.factorization.factors == (ZX.from_int(2), ZX.make([1, 1]))
         assert [c.case for c in res.certificates] == ["generator", "localization"]
         assert check_factorization_unique(

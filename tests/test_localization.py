@@ -3,7 +3,7 @@ algorithms, including the documented error taxonomy."""
 
 import pytest
 
-from locfactor.basefactor import factor_integer
+from locfactor.basefactor import factor_bivariate, factor_integer, kronecker_factor
 from locfactor.descent import BaseEngineOracle
 from locfactor.errors import OracleViolationError, PreconditionError
 from locfactor.localization import (
@@ -23,8 +23,8 @@ from locfactor.localization import (
     transfer_prime_divides,
     witness_multiset,
 )
-from locfactor.rings import ZX, ZZ
-from locfactor.routes import LaurentOracle, powers_of_x_submonoid
+from locfactor.rings import ZX, ZXY, ZZ
+from locfactor.routes import OVER_Z, OVER_ZX, ConstantPrimesOracle, LaurentOracle, powers_of_x_submonoid
 from locfactor.selftest import brute_force_avoids
 
 
@@ -236,6 +236,32 @@ class TestTransferPrimeDivides:
             sx, ZX.make([1, 1]), ZX.make([-1, 0, 1]), ZX.gen, oracle
         )
         assert side == "left" and d == ZX.make([-1, 1])
+
+    def test_constant_primes_oracle_over_z(self):
+        S = GeneratedSubmonoid(ZX, [ZX.from_int(2)])
+        oracle = ConstantPrimesOracle(S, OVER_Z, kronecker_factor)
+        p = ZX.make([1, 1])  # X + 1
+        a = ZX.mul(ZX.from_int(4), ZX.mul(p, ZX.make([-2, 1])))  # 4(X+1)(X-2)
+        b = ZX.make([3, 0, 1])  # X^2 + 3
+        assert transfer_prime_divides(S, p, a, b, oracle) == ("left", ZX.make([-8, 4]))
+        assert transfer_prime_divides(S, p, b, a, oracle) == ("right", ZX.make([-8, 4]))
+        # a Q[X] quotient whose denominator lies in S, and one whose does not
+        s, c = oracle.divides(embed(ZX.make([2, 2]), S), embed(p, S))
+        assert s.exponents == (1,) and c == ZX.one
+        assert oracle.divides(embed(ZX.make([3, 3]), S), embed(p, S)) is None
+
+    def test_constant_primes_oracle_over_zx(self):
+        S = GeneratedSubmonoid(ZXY, [ZXY.constant(ZX.gen)])
+        oracle = ConstantPrimesOracle(S, OVER_ZX, factor_bivariate)
+        p = ZXY.make([ZX.make([1, 1]), ZX.one])  # Y + X + 1
+        q = ZXY.make([ZX.make([0, -1]), ZX.gen])  # X(Y - 1)
+        a = ZXY.mul(p, q)
+        b = ZXY.make([ZX.one, ZX.zero, ZX.one])  # Y^2 + 1
+        assert transfer_prime_divides(S, p, a, b, oracle) == ("left", q)
+        assert transfer_prime_divides(S, p, b, a, oracle) == ("right", q)
+        # Y + X + 1 over X(Y + X + 1): the denominator X lies in S
+        s, c = oracle.divides(embed(ZXY.mul(ZXY.constant(ZX.gen), p), S), embed(p, S))
+        assert s.exponents == (1,) and c == ZXY.one
 
     def test_precondition(self, s2):
         oracle = BaseEngineOracle(s2, factor_integer)

@@ -2,9 +2,12 @@
 bivariate route, and cross-route agreement."""
 
 import random
+import sys
+from collections import Counter
 
 import pytest
 
+from locfactor import routes
 from locfactor.basefactor import check_factorization_unique, factor_bivariate
 from locfactor.errors import DeskScaleError, MathDomainError
 from locfactor.rings import LT, ZX, ZXY
@@ -85,6 +88,10 @@ class TestFractionFieldRoute:
         assert ZX.from_int(2) in S.generators
         res = factor_zx_via_fraction_field(ZX.make([1, 2]))
         assert res.factorization.factors == (ZX.make([1, 2]),)
+        # (2X + 1)(3X + 1): the monic factors' denominators 2 and 3 are the
+        # primes of the leading coefficient 6, in that order
+        S = fracfield_submonoid(ZX.make([1, 5, 6]))
+        assert S.generators == (ZX.from_int(2), ZX.from_int(3))
 
     def test_empty_generator_set(self):
         S = fracfield_submonoid(ZX.make([-1, 0, 1]))
@@ -126,6 +133,35 @@ class TestIteratedRoute:
         assert S.generators == ()
         res = factor_iterated(f)
         assert res.factorization.factors == (f,)
+
+
+class TestOracleEngineBinding:
+    """The constant-primes oracle calls the engine the route passes from the
+    ``routes`` namespace, so a wrapper bound there by name (as a tracer
+    installs one) sees every oracle call into the engine."""
+
+    @staticmethod
+    def _count_callers(monkeypatch, name):
+        callers = Counter()
+        original = getattr(routes, name)
+
+        def counting(*args):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(routes, name, counting)
+        return callers
+
+    def test_fraction_field_route(self, monkeypatch):
+        callers = self._count_callers(monkeypatch, "kronecker_factor")
+        factor_zx_via_fraction_field(ZX.make([-2, 0, 2]))  # 2(X-1)(X+1)
+        assert callers == Counter({"factor_fraction": 1, "is_prime_embedded": 2})
+
+    def test_iterated_route(self, monkeypatch):
+        callers = self._count_callers(monkeypatch, "factor_bivariate")
+        x2 = ZX.make([0, 0, 2])
+        factor_iterated(ZXY.make([ZX.neg(x2), ZX.zero, x2]))  # 2X^2(Y-1)(Y+1)
+        assert callers == Counter({"factor_iterated": 1, "factor_fraction": 1, "is_prime_embedded": 2})
 
 
 class TestCompareRoutes:
