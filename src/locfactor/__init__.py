@@ -5,9 +5,10 @@ The package is organized bottom-up:
 
 * ``rings``        -- exact arithmetic and the uniform ring contract
 * ``basefactor``   -- ground-truth engines (integers by sieve, Miller-Rabin and
-                      Pollard rho; Z[X] by Zassenhaus).  An integer with a
-                      probable-prime cofactor above the Miller-Rabin exact
-                      bound (~3.3 * 10**24) is refused as desk-scale (exit 2)
+                      Pollard rho; Z[X] by Zassenhaus; Z[X][Y] by Kronecker
+                      substitution).  An integer with a probable-prime
+                      cofactor above the Miller-Rabin exact bound
+                      (~3.3 * 10**24) is refused as desk-scale (exit 2)
 * ``localization`` -- prime-generated submonoids, fractions, transfer algorithms
 * ``descent``      -- primality certificates and the descent factorizer
 * ``routes``       -- Laurent / fraction-field / bivariate routes; the Laurent
@@ -24,7 +25,6 @@ from .basefactor import (
     check_factorization_unique,
     factor_bivariate,
     factor_integer,
-    factor_poly_qx,
     factor_poly_zx,
     is_irreducible,
     kronecker_factor,

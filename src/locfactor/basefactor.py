@@ -12,7 +12,6 @@ These are the base oracles everything else is cross-checked against:
                             each distinct input is factored once
 * ``factor_poly_zx``     -- content split + ``kronecker_factor`` on the
                             primitive part
-* ``factor_poly_qx``     -- Q[X] via denominator clearing
 * ``factor_bivariate``   -- Z[X][Y] by packing Y -> X^D and regrouping the
                             univariate factors
 
@@ -28,13 +27,11 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import DeskScaleError, MathDomainError, OracleViolationError, PreconditionError
 from .rings import (
     LT,
-    QX,
     ZX,
     ZXY,
     ZZ,
@@ -42,8 +39,8 @@ from .rings import (
     Poly,
     Ring,
     poly_content,
+    poly_gcd_z,
     poly_primitive,
-    zx_clear_denominators,
     zxy_primitive,
     zxy_x_degree,
 )
@@ -250,21 +247,6 @@ def _zx_exact_div(a: list[int], b: list[int]) -> Optional[list[int]]:
     return None if any(rem[:db]) else q
 
 
-def _zx_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Gcd of primitive a and b by the primitive polynomial remainder
-    sequence, with positive leading coefficient."""
-    while b:
-        r, db, lead = list(a), len(b) - 1, b[-1]
-        while len(r) - 1 >= db:
-            t, shift = r[-1], len(r) - 1 - db
-            r = [x * lead for x in r]
-            for i, c in enumerate(b):
-                r[shift + i] -= t * c
-            _trim(r)
-        a, b = b, (_zx_primitive(r) if r else [])
-    return a
-
-
 def _add_mod(a: list[int], b: list[int], m: int) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
@@ -445,41 +427,59 @@ def _hensel_lift(f: list[int], factors: list[list[int]], p: int, steps: int) -> 
     return _hensel_lift(g, factors[:k], p, steps) + _hensel_lift(h, factors[k:], p, steps)
 
 
-def _recombine(f: list[int], lifted: list[list[int]], mod: int) -> list[int]:
+def _split_by_subsets(count: int, split: Callable[[tuple], bool]) -> None:
+    """Group the factors of a product, indexed by range(count), into the
+    minimal sub-products that divide it.
+
+    ``split(subset)`` returns True when the product of the factors in subset
+    divides what is left of the product, after dividing it out.  Subsets are
+    tried by increasing size up to half the indices left, at exactly half only
+    those holding the first index left, since the complement of a divisor
+    gives its cofactor.  Each accepted subset is minimal because every smaller
+    one was tried before; the indices left over form the last factor."""
+    todo = list(range(count))
+    size = 1
+    while 2 * size <= len(todo):
+        subsets = itertools.combinations(todo, size)
+        if 2 * size == len(todo):  # skip the complements of subsets tried
+            subsets = ((todo[0],) + s for s in itertools.combinations(todo[1:], size - 1))
+        for subset in subsets:
+            if split(subset):
+                todo = [i for i in todo if i not in subset]
+                break
+        else:
+            size += 1
+
+
+def _recombine(f: list[int], lifted: list[list[int]], mod: int) -> list[list[int]]:
     """Irreducible factors over Z of a squarefree primitive f with f(0) != 0,
     from the monic lifts of its modular factors.  mod exceeds twice the
     coefficients of lc(f)/lc(g) * g for every divisor g of f, so each subset
     of lifts gives its candidate exactly (the leading-coefficient trick)."""
     half = mod // 2
-    todo = list(range(len(lifted)))
     found = []
-    size = 1
-    while 2 * size <= len(todo):
-        lead = f[-1]
-        subsets = itertools.combinations(todo, size)
-        if 2 * size == len(todo):  # skip the complements of subsets tried
-            subsets = ((todo[0],) + s for s in itertools.combinations(todo[1:], size - 1))
-        for subset in subsets:
-            c0 = lead
-            for i in subset:
-                c0 = c0 * lifted[i][0] % mod
-            c0 = c0 - mod if c0 > half else c0
-            if c0 == 0 or lead * f[0] % c0:
-                continue  # the constant term rules the candidate out
-            g = [lead]
-            for i in subset:
-                g = _mul_mod(g, lifted[i], mod)
-            g = _zx_primitive([c - mod if c > half else c for c in g])
-            q = _zx_exact_div(f, g)
-            if q is not None:
-                found.append(g)
-                f = q
-                todo = [i for i in todo if i not in subset]
-                break
-        else:
-            size += 1
-    found.append(f)
-    return found
+
+    def split(subset: tuple) -> bool:
+        nonlocal f
+        lead = c0 = f[-1]
+        for i in subset:
+            c0 = c0 * lifted[i][0] % mod
+        c0 = c0 - mod if c0 > half else c0
+        if c0 == 0 or lead * f[0] % c0:
+            return False  # the constant term rules the candidate out
+        g = [lead]
+        for i in subset:
+            g = _mul_mod(g, lifted[i], mod)
+        g = _zx_primitive([c - mod if c > half else c for c in g])
+        q = _zx_exact_div(f, g)
+        if q is None:
+            return False
+        found.append(g)
+        f = q
+        return True
+
+    _split_by_subsets(len(lifted), split)
+    return found + [f]
 
 
 def _factor_squarefree(f: list[int]) -> list[list[int]]:
@@ -536,7 +536,7 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
         return out
     if len(f) == 2:
         return out + [f]
-    g = _zx_gcd(f, _zx_primitive([i * c for i, c in enumerate(f)][1:]))
+    g = poly_gcd_z(Poly(f), Poly([i * c for i, c in enumerate(f)][1:])).coeffs
     if len(g) == 1:
         return out + _factor_squarefree(f)
     for q in _factor_squarefree(_zx_exact_div(f, g)):
@@ -617,7 +617,7 @@ def _kronecker_factor_uncached(p: Poly) -> PrimeFactorization:
 
 
 # ---------------------------------------------------------------------------
-# full engines for Z[X], Q[X], Z[X][Y]
+# full engines for Z[X] and Z[X][Y]
 
 def factor_poly_zx(p: Poly) -> PrimeFactorization:
     """Factor over Z[X]: integer primes of the content as constant factors,
@@ -632,25 +632,6 @@ def factor_poly_zx(p: Poly) -> PrimeFactorization:
     pf = PrimeFactorization.of(ZX, unit, factors)
     if pf.value(ZX) != p:
         raise OracleViolationError("factor_poly_zx reconstruction failed")
-    return pf
-
-
-def factor_poly_qx(p: Poly) -> PrimeFactorization:
-    """Factor over Q[X]: monic irreducible factors, leading coefficient as unit."""
-    if not p.coeffs:
-        raise MathDomainError("cannot factor zero")
-    lead = p.coeffs[-1]
-    monic = Poly(tuple(c / lead for c in p.coeffs))
-    _, cleared = zx_clear_denominators(monic)
-    _, prim = poly_primitive(cleared)
-    kf = kronecker_factor(prim)
-    factors = []
-    for f in kf.factors:
-        lf = f.coeffs[-1]
-        factors.append(Poly(tuple(Fraction(c, lf) for c in f.coeffs)))
-    pf = PrimeFactorization.of(QX, QX.constant(lead), factors)
-    if pf.value(QX) != p:
-        raise OracleViolationError("factor_poly_qx reconstruction failed")
     return pf
 
 
@@ -679,7 +660,9 @@ def factor_bivariate(f: Poly) -> PrimeFactorization:
     X-degrees cannot exceed the input's, so the packing is injective on all
     candidate factors), the image is factored over Z[X], and bivariate
     irreducibles are recovered as minimal subsets of image factors whose
-    unpacked product divides exactly.
+    unpacked product divides exactly.  Y -> X^D is a ring homomorphism that
+    unpacking inverts on divisors of the input, so the image factors left over
+    unpack to the cofactor, as ``_split_by_subsets`` needs.
     """
     if ZXY.is_zero(f):
         raise MathDomainError("cannot factor zero")
@@ -709,33 +692,21 @@ def factor_bivariate(f: Poly) -> PrimeFactorization:
         base = factor_poly_zx(image)
         if base.unit != ZX.one:
             raise OracleViolationError("primitive image has a nontrivial unit")
-        remaining = list(base.factors)
         target = ppc
-        while not ZXY.is_unit(target):
-            hit = None
-            for size in range(1, len(remaining) + 1):
-                for combo in itertools.combinations(range(len(remaining)), size):
-                    prodp = ZX.prod(remaining[i] for i in combo)
-                    cand = _unpack(prodp, chunk)
-                    if len(cand.coeffs) - 1 < 1:
-                        continue  # a pure Z[X] element cannot divide the primitive part
-                    _, candc = ZXY.canonical_associate(cand)
-                    q = ZXY.exact_div(target, candc)
-                    if q is not None:
-                        hit = (combo, candc, q)
-                        break
-                if hit:
-                    break
-            if hit is None:
-                raise OracleViolationError("bivariate regrouping failed")
-            combo, candc, q = hit
-            for i in sorted(combo, reverse=True):
-                remaining.pop(i)
-            factors.append(candc)
+
+        def split(subset: tuple) -> bool:
+            nonlocal target
+            prodp = ZX.prod(base.factors[i] for i in subset)
+            _, cand = ZXY.canonical_associate(_unpack(prodp, chunk))
+            q = ZXY.exact_div(target, cand)
+            if q is None:
+                return False
+            factors.append(cand)
             target = q
-        if remaining:
-            raise OracleViolationError("bivariate regrouping left unused image factors")
-        unit = ZXY.mul(unit, target)
+            return True
+
+        _split_by_subsets(len(base.factors), split)
+        factors.append(target)
     pf = PrimeFactorization.of(ZXY, unit, factors)
     if pf.value(ZXY) != f:
         raise OracleViolationError("factor_bivariate reconstruction failed")
@@ -750,8 +721,6 @@ def _engine_for(ring: Ring) -> Optional[Callable]:
         return factor_integer
     if ring == ZX:
         return factor_poly_zx
-    if ring == QX:
-        return factor_poly_qx
     if ring == ZXY:
         return factor_bivariate
     return None

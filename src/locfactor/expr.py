@@ -50,9 +50,9 @@ def _tokenize(text: str) -> list[tuple]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() reads; not superscripts
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j - i > LITERAL_DIGITS_CAP:
                 raise DeskScaleError(

@@ -249,11 +249,6 @@ class PolynomialRing(Ring):
             raise MathDomainError("degree of zero polynomial is undefined")
         return len(a.coeffs) - 1
 
-    def leading(self, a: Poly) -> Element:
-        if not a.coeffs:
-            raise MathDomainError("zero polynomial has no leading coefficient")
-        return a.coeffs[-1]
-
     def add(self, a, b):
         C = self.coeff
         n = max(len(a.coeffs), len(b.coeffs))
@@ -627,22 +622,28 @@ def zxy_clear_denominators(p: Poly) -> tuple[Poly, Poly]:
 
 
 def poly_gcd_z(a: Poly, b: Poly) -> Poly:
-    """Gcd in Z[X], returned with positive leading coefficient."""
-    if not a.coeffs and not b.coeffs:
-        return ZX.zero
-    if not a.coeffs:
-        return ZX.canonical_associate(b)[1]
-    if not b.coeffs:
-        return ZX.canonical_associate(a)[1]
-    ca, pa = poly_primitive(a)
-    cb, pb = poly_primitive(b)
-    c = math.gcd(ca, cb)
-    fa, fb = qx_from_zx(pa), qx_from_zx(pb)
-    while fb.coeffs:
-        fa, fb = fb, QX.divmod(fa, fb)[1]
-    _, g = zx_clear_denominators(fa)
-    _, g = poly_primitive(g)
-    return ZX.make([c * x for x in g.coeffs])
+    """Gcd in Z[X], returned with positive leading coefficient: the gcd of the
+    contents times the last primitive remainder of the primitive parts, which
+    by Gauss's lemma is their primitive gcd."""
+    if not a.coeffs or not b.coeffs:
+        return ZX.canonical_associate(ZX.add(a, b))[1]
+    ca, a = poly_primitive(a)
+    cb, b = poly_primitive(b)
+    a, b = list(a.coeffs), list(b.coeffs)
+    while b:
+        r, db, lead = a, len(b) - 1, b[-1]
+        while len(r) - 1 >= db:  # pseudo-division: scale by lead, cancel the top
+            t, shift = r[-1], len(r) - 1 - db
+            r = [x * lead for x in r]
+            for i, c in enumerate(b):
+                r[shift + i] -= t * c
+            while r and r[-1] == 0:
+                r.pop()
+        if r:
+            c = math.gcd(*r) if r[-1] > 0 else -math.gcd(*r)
+            r = [x // c for x in r]
+        a, b = b, r
+    return Poly(tuple(math.gcd(ca, cb) * x for x in a))
 
 
 def poly_lcm_z(a: Poly, b: Poly) -> Poly:

@@ -23,7 +23,6 @@ from .basefactor import (
     check_factorization_unique,
     factor_bivariate,
     factor_integer,
-    factor_poly_qx,
     factor_poly_zx,
     is_irreducible,
     kronecker_factor,
@@ -452,7 +451,7 @@ def suite_rings_strip_roundtrip(rng, trials):
             raise SelfTestFailure("laurent_to_poly round trip fails")
 
 
-_BASE_CASES = ("int", "zx", "qx", "laurent", "bivariate")
+_BASE_CASES = ("int", "zx", "laurent", "bivariate")
 
 
 def suite_base_reconstruction(rng, trials):
@@ -468,11 +467,6 @@ def suite_base_reconstruction(rng, trials):
             pf = factor_poly_zx(p)
             if not ZX.eq(pf.value(ZX), p):
                 raise SelfTestFailure("factor_poly_zx does not reconstruct")
-        elif kind == "qx":
-            p = rand_qx(rng, nonzero=True)
-            pf = factor_poly_qx(p)
-            if not QX.eq(pf.value(QX), p):
-                raise SelfTestFailure("factor_poly_qx does not reconstruct")
         elif kind == "laurent":
             f = rand_laurent(rng, nonzero=True)
             pf = factor_laurent(f)
@@ -536,19 +530,6 @@ def suite_base_engine_reference(rng, trials):
             raise SelfTestFailure(
                 f"engine and Kronecker reference factor {expr.render(ZX, p)} differently"
             )
-
-
-def suite_base_qx_zx_compat(rng, trials):
-    for _ in range(trials):
-        p = rand_zx(rng, nonzero=True)
-        zx_monic = []
-        for q in factor_poly_zx(p).factors:
-            if len(q.coeffs) > 1:
-                lead = q.coeffs[-1]
-                zx_monic.append(QX.make([QFrac(c, lead) for c in q.coeffs]))
-        qx = [q for q in factor_poly_qx(QX.make([QFrac(c) for c in p.coeffs])).factors]
-        if sorted(zx_monic, key=QX.sort_key) != sorted(qx, key=QX.sort_key):
-            raise SelfTestFailure("Q[X] factors disagree with monicized Z[X] factors")
 
 
 def _sample_submonoids(rng):
@@ -773,7 +754,6 @@ SUITES = {
     "base_engine_reference": suite_base_engine_reference,
     "base_gauss_content": suite_base_gauss_content,
     "base_irreducible_refeed": suite_base_irreducible_refeed,
-    "base_qx_zx_compat": suite_base_qx_zx_compat,
     "base_reconstruction": suite_base_reconstruction,
     "base_unique_shuffle": suite_base_unique_shuffle,
     "descent_dichotomy": suite_descent_dichotomy,

@@ -15,7 +15,6 @@ from locfactor.basefactor import (
     check_factorization_unique,
     factor_bivariate,
     factor_integer,
-    factor_poly_qx,
     factor_poly_zx,
     is_irreducible,
     kronecker_factor,
@@ -196,33 +195,6 @@ class TestFactorPolyZX:
             assert expand(pf, ZX) == p
 
 
-class TestFactorPolyQX:
-    def test_examples(self):
-        pf = factor_poly_qx(QX.make([QFrac(-1), QFrac(0), QFrac(1)]))
-        assert pf.unit == QX.one
-        assert pf.factors == (
-            QX.make([QFrac(-1), QFrac(1)]),
-            QX.make([QFrac(1), QFrac(1)]),
-        )
-        pf = factor_poly_qx(QX.make([QFrac(2), QFrac(2)]))
-        assert pf.unit == QX.make([QFrac(2)])
-        assert pf.factors == (QX.make([QFrac(1), QFrac(1)]),)
-        pf = factor_poly_qx(QX.make([QFrac(0), QFrac(1, 2)]))
-        assert pf.unit == QX.make([QFrac(1, 2)])
-        assert pf.factors == (QX.gen,)
-
-    def test_monic_output(self):
-        rng = random.Random("basefactor-qx")
-        from locfactor.selftest import rand_qx
-
-        for _ in range(30):
-            p = rand_qx(rng, nonzero=True)
-            pf = factor_poly_qx(p)
-            assert expand(pf, QX) == p
-            for f in pf.factors:
-                assert f.coeffs[-1] == QFrac(1)
-
-
 class TestFactorBivariate:
     def test_examples(self):
         x = ZX.gen
@@ -237,6 +209,18 @@ class TestFactorBivariate:
             ZXY.make([ZX.one, ZX.one]),
         )
         assert factor_bivariate(ZXY.from_int(2)).factors == (ZXY.from_int(2),)
+        # Y -> X^5 images with more factors than the input: the leftover image
+        # factors form the last factor (4 of them for Y + X^2), the complement
+        # skip at exactly half (2 + 2), and an uneven split (4 + 2)
+        def y_plus(c):  # Y + c
+            return ZXY.make([c, ZX.one])
+
+        f = y_plus(ZX.make([0, 0, 1]))  # Y + X^2
+        assert factor_bivariate(f).factors == (f,)
+        pf = factor_bivariate(ZXY.mul(y_plus(x), y_plus(ZX.make([0, 2]))))
+        assert pf.factors == (y_plus(x), y_plus(ZX.make([0, 2])))
+        pf = factor_bivariate(ZXY.make([ZX.make([0, 0, -1]), ZX.zero, ZX.one]))  # Y^2 - X^2
+        assert pf.factors == (y_plus(ZX.make([0, -1])), y_plus(x))
 
     def test_caps(self):
         too_deep = ZXY.make([ZX.one] * 6)  # deg_Y = 5
@@ -292,5 +276,6 @@ class TestIrreducibilityOracles:
         assert is_irreducible(ZX, ZX.make([1, 0, 1]))
         assert not is_irreducible(ZZ, 1)
         assert not is_irreducible(ZZ, 0)
-        assert is_irreducible(QX, QX.make([QFrac(1), QFrac(2)]))
+        with pytest.raises(MathDomainError):  # no Q[X] engine
+            is_irreducible(QX, QX.make([QFrac(1), QFrac(2)]))
         assert not is_irreducible(QX, QX.make([QFrac(3)]))  # unit in Q[X]

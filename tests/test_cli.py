@@ -71,8 +71,9 @@ class TestFactorCommand:
 
 class TestExitCodes:
     def test_parse_error(self, capsys):
-        assert main(["factor", "X^-1"]) == 1
-        assert "error:" in capsys.readouterr().err
+        for text in ("X^-1", "X\u00b2", "3\u00b2"):  # X², 3²: int() rejects superscripts
+            assert main(["factor", text]) == 1
+            assert "error:" in capsys.readouterr().err
 
     def test_usage_error(self, capsys):
         assert main(["factor", "T+1", "--route", "fracfield"]) == 1

@@ -1,7 +1,7 @@
 """Source hygiene of the package, checked with the stdlib ``ast`` module:
 every module-level function and constant has exactly one definition, every
-module-level function and class is used, and no module imports a name it
-never uses."""
+module-level function and class and every class method is used, and no
+module imports a name it never uses."""
 
 import ast
 from collections import defaultdict
@@ -92,5 +92,26 @@ def test_each_function_and_class_is_used():
         and not node.name.startswith("__")
         and node.name not in exported | in_tests
         and not readers[node.name] - {node}
+    ]
+    assert unused == []
+
+
+def test_each_method_is_used():
+    """A method counts as used when src/ or tests/ reads its name as an
+    attribute anywhere; dunder methods are called by Python itself."""
+    modules = _modules()
+    read = set().union(
+        *(_references(tree) for tree in modules.values()),
+        *(_references(ast.parse(p.read_text(), str(p))) for p in TESTS.glob("*.py")),
+    )
+    unused = [
+        f"{module}:{cls.name}.{node.name}"
+        for module, tree in modules.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
     ]
     assert unused == []

@@ -193,6 +193,23 @@ def test_poly_exact_div_soundness(a, b):
     assert q is not None and ZX.eq(q, a)
 
 
+@settings(max_examples=200)
+@given(_small_poly, _small_poly, _small_poly)
+def test_gcd_scales_with_a_common_factor(a, b, g):
+    """gcd(a*g, b*g) is the canonical associate of gcd(a, b) * g and divides
+    both arguments; a zero operand leaves the canonical associate of the other."""
+    ag, bg = ZX.mul(a, g), ZX.mul(b, g)
+    d = poly_gcd_z(ag, bg)
+    assert d == ZX.canonical_associate(ZX.mul(poly_gcd_z(a, b), g))[1]
+    for x in (ag, bg):
+        if d.coeffs:
+            assert ZX.exact_div(x, d) is not None
+        else:
+            assert not x.coeffs
+    canonical = ZX.canonical_associate(ag)[1]
+    assert poly_gcd_z(ag, ZX.zero) == canonical == poly_gcd_z(ZX.zero, ag)
+
+
 def test_immutability():
     p = ZX.make([1, 2])
     with pytest.raises(AttributeError):
