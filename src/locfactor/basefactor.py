@@ -8,12 +8,14 @@ These are the base oracles everything else is cross-checked against:
 * ``kronecker_factor``   -- primitive integer polynomials, by Zassenhaus's
                             algorithm: Berlekamp modulo a small prime, Hensel
                             lifting, recombination (desk scale: degree <= 16,
-                            coefficients <= 10**6); inside ``request_memo``
-                            each distinct input is factored once
+                            coefficients <= 10**6)
 * ``factor_poly_zx``     -- content split + ``kronecker_factor`` on the
                             primitive part
 * ``factor_bivariate``   -- Z[X][Y] by packing Y -> X^D and regrouping the
                             univariate factors
+
+Inside ``request_memo`` each of the three polynomial engines factors each
+distinct input once, and ``is_irreducible`` answers from the same memo.
 
 ``PrimeFactorization`` is the universal output format: a unit together with a
 multiset (stored as a sorted tuple) of canonical irreducible factors, so that
@@ -41,6 +43,7 @@ from .rings import (
     poly_content,
     poly_gcd_z,
     poly_primitive,
+    zx_exact_div_coeffs,
     zxy_primitive,
     zxy_x_degree,
 )
@@ -53,14 +56,23 @@ BIVARIATE_DEGREE_CAP = 4
 # below the smallest composite that passes it (OEIS A014233)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_EXACT_BOUND = 3317044064679887385961981
-# Iterations of one Pollard rho split, which takes on the order of the square
-# root of the smaller prime factor: 188,312 for 399165290221 * 798330580441,
-# at most 1,208 on the desk-mixed benchmark integers (below 10^12), and about
-# 10^7 (13 s) for two primes near 10^14, which the budget refuses after ~3 s
-# (CPython 3.11, one core of a 2-vCPU guest).
+# Pollard rho iterations of one factor_integer call, over all its splits.  A
+# split takes on the order of the square root of the smaller prime factor:
+# 188,312 for 399165290221 * 798330580441, at most 1,208 on the desk-mixed
+# benchmark integers (below 10^12), and about 10^7 (13 s) for two primes near
+# 10^14, which the budget refuses after ~3 s (CPython 3.11, one core of a
+# 2-vCPU guest).
 POLLARD_RHO_BUDGET = 1_000_000
+# Bit length of the largest cofactor left by the sieve that factor_integer
+# takes on.  An iteration of rho costs 2.3 us at 128 bits, 3.5 us at 192 and
+# 24 us at 1,024, where the budget ran 24 s instead of ~3 s; at the cap, a
+# product of three 64-bit primes is refused after 4.0 s.  Miller-Rabin on a
+# prime of 4,423 bits took 3.3 s (same machine).  A cofactor the factorizer
+# can finish is a product of primes that rho finds within its budget, up to
+# ~10^13 each, and one last prime below the Miller-Rabin bound (82 bits).
+INTEGER_BITS_CAP = 192
 
-# kronecker_factor answers of the open request, keyed on the input Poly;
+# engine answers of the open request, keyed on (engine name, input Poly);
 # None when no request is open
 _REQUEST_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
     "locfactor_request_memo", default=None
@@ -99,8 +111,9 @@ def factor_integer(n: int) -> PrimeFactorization:
     Primes below the sieve limit are divided out first; every remaining
     cofactor is either proven prime by Miller-Rabin or split by Pollard rho.
     A probable prime at or above ``MILLER_RABIN_EXACT_BOUND`` cannot be proven
-    prime here and raises ``DeskScaleError``, as does a cofactor that Pollard
-    rho does not split within ``POLLARD_RHO_BUDGET`` iterations.
+    prime here and raises ``DeskScaleError``, as do a sieved cofactor of more
+    than ``INTEGER_BITS_CAP`` bits and a number whose splits take Pollard rho
+    more than ``POLLARD_RHO_BUDGET`` iterations in all.
     """
     if n == 0:
         raise MathDomainError("cannot factor zero")
@@ -112,7 +125,13 @@ def factor_integer(n: int) -> PrimeFactorization:
         while m % p == 0:
             out.append(p)
             m //= p
+    if m.bit_length() > INTEGER_BITS_CAP:
+        raise DeskScaleError(
+            f"desk-scale limit: cofactor of {m.bit_length()} bits left after the "
+            f"sieve exceeds {INTEGER_BITS_CAP} bits"
+        )
     stack = [m] if m > 1 else []
+    left = POLLARD_RHO_BUDGET
     while stack:
         m = stack.pop()
         if _is_probable_prime(m):
@@ -123,7 +142,7 @@ def factor_integer(n: int) -> PrimeFactorization:
                 )
             out.append(m)
             continue
-        d = _pollard_rho(m)
+        d, left = _pollard_rho(m, left)
         stack.append(d)
         stack.append(m // d)
     out.sort()
@@ -170,12 +189,12 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    # Floyd's cycle detection with a deterministic parameter sweep, stopped
-    # after POLLARD_RHO_BUDGET iterations over all parameters
+def _pollard_rho(n: int, left: int) -> tuple[int, int]:
+    """A proper divisor of the composite n and the iterations left of
+    ``left``, by Floyd's cycle detection with a deterministic parameter
+    sweep."""
     if n % 2 == 0:
-        return 2
-    left = POLLARD_RHO_BUDGET
+        return 2, left
     for c in range(1, 100):
         x, y, d = 2, 2, 1
         f = lambda v: (v * v + c) % n
@@ -183,14 +202,14 @@ def _pollard_rho(n: int) -> int:
             if not left:
                 raise DeskScaleError(
                     f"desk-scale limit: Pollard rho found no factor of {n} "
-                    f"in {POLLARD_RHO_BUDGET} iterations"
+                    f"within its budget of {POLLARD_RHO_BUDGET} iterations"
                 )
             left -= 1
             x = f(x)
             y = f(f(y))
             d = math.gcd(abs(x - y), n)
         if d != n:
-            return d
+            return d, left
     raise OracleViolationError(f"failed to split {n}")
 
 
@@ -226,25 +245,6 @@ def _zx_primitive(a: list[int]) -> list[int]:
     if a[-1] < 0:
         c = -c
     return [x // c for x in a]
-
-
-def _zx_exact_div(a: list[int], b: list[int]) -> Optional[list[int]]:
-    """a / b over Z, or None when b does not divide a."""
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return None
-    rem = list(a)
-    lead = b[-1]
-    q = [0] * (len(rem) - db)
-    for k in range(len(q) - 1, -1, -1):
-        t, r = divmod(rem[k + db], lead)
-        if r:
-            return None
-        if t:
-            q[k] = t
-            for i in range(db):
-                rem[k + i] -= t * b[i]
-    return None if any(rem[:db]) else q
 
 
 def _add_mod(a: list[int], b: list[int], m: int) -> list[int]:
@@ -471,7 +471,7 @@ def _recombine(f: list[int], lifted: list[list[int]], mod: int) -> list[list[int
         for i in subset:
             g = _mul_mod(g, lifted[i], mod)
         g = _zx_primitive([c - mod if c > half else c for c in g])
-        q = _zx_exact_div(f, g)
+        q = zx_exact_div_coeffs(f, g)
         if q is None:
             return False
         found.append(g)
@@ -495,7 +495,7 @@ def _factor_squarefree(f: list[int]) -> list[list[int]]:
         if root * root != disc:
             return [f]
         g = _zx_primitive([b - root, 2 * a])
-        return [g, _zx_exact_div(f, g)]
+        return [g, zx_exact_div_coeffs(f, g)]
     best = None
     good = 0
     for p in _small_primes():
@@ -539,18 +539,19 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
     g = poly_gcd_z(Poly(f), Poly([i * c for i, c in enumerate(f)][1:])).coeffs
     if len(g) == 1:
         return out + _factor_squarefree(f)
-    for q in _factor_squarefree(_zx_exact_div(f, g)):
-        rest = _zx_exact_div(f, q)
+    for q in _factor_squarefree(zx_exact_div_coeffs(f, g)):
+        rest = zx_exact_div_coeffs(f, q)
         while rest is not None:
             out.append(q)
             f = rest
-            rest = _zx_exact_div(f, q)
+            rest = zx_exact_div_coeffs(f, q)
     return out
 
 
 @contextmanager
 def request_memo():
-    """Share ``kronecker_factor`` answers for the duration of one request.
+    """Share the answers of ``kronecker_factor``, ``factor_poly_zx`` and
+    ``factor_bivariate`` for the duration of one request.
 
     Opens a fresh memo, or joins the one already open.  The scope that opened
     the memo discards it on exit, also when the request raises.
@@ -567,7 +568,7 @@ def request_memo():
 
 @contextmanager
 def memo_bypassed():
-    """Hide the open memo, so every ``kronecker_factor`` answer is recomputed."""
+    """Hide the open memo, so every engine answer is recomputed."""
     token = _REQUEST_MEMO.set(None)
     try:
         yield
@@ -584,14 +585,24 @@ def kronecker_factor(p: Poly) -> PrimeFactorization:
     modular factors yields a proper divisor.  The divisor search this entry
     point is named after is ``selftest.kronecker_reference``, the independent
     engine it is checked against.  Inside ``request_memo`` each distinct input
-    is factored once; only successful answers are kept.
+    is factored once.
+    """
+    return _memoized("kronecker_factor", _kronecker_factor_uncached, p)
+
+
+def _memoized(engine: str, compute: Callable, p: Poly) -> PrimeFactorization:
+    """``compute(p)``, shared through the open request memo under (engine, p).
+
+    Only answers that return are kept, and every engine checks its answer's
+    reconstruction before returning it.
     """
     memo = _REQUEST_MEMO.get()
     if memo is None:
-        return _kronecker_factor_uncached(p)
-    pf = memo.get(p)
+        return compute(p)
+    key = (engine, p)
+    pf = memo.get(key)
     if pf is None:
-        pf = memo[p] = _kronecker_factor_uncached(p)
+        pf = memo[key] = compute(p)
     return pf
 
 
@@ -621,7 +632,12 @@ def _kronecker_factor_uncached(p: Poly) -> PrimeFactorization:
 
 def factor_poly_zx(p: Poly) -> PrimeFactorization:
     """Factor over Z[X]: integer primes of the content as constant factors,
-    ``kronecker_factor`` irreducibles for the primitive part."""
+    ``kronecker_factor`` irreducibles for the primitive part.  Inside
+    ``request_memo`` each distinct input is factored once."""
+    return _memoized("factor_poly_zx", _factor_poly_zx_uncached, p)
+
+
+def _factor_poly_zx_uncached(p: Poly) -> PrimeFactorization:
     if not p.coeffs:
         raise MathDomainError("cannot factor zero")
     c, prim = poly_primitive(p)
@@ -662,8 +678,13 @@ def factor_bivariate(f: Poly) -> PrimeFactorization:
     irreducibles are recovered as minimal subsets of image factors whose
     unpacked product divides exactly.  Y -> X^D is a ring homomorphism that
     unpacking inverts on divisors of the input, so the image factors left over
-    unpack to the cofactor, as ``_split_by_subsets`` needs.
+    unpack to the cofactor, as ``_split_by_subsets`` needs.  Inside
+    ``request_memo`` each distinct input is factored once.
     """
+    return _memoized("factor_bivariate", _factor_bivariate_uncached, f)
+
+
+def _factor_bivariate_uncached(f: Poly) -> PrimeFactorization:
     if ZXY.is_zero(f):
         raise MathDomainError("cannot factor zero")
     deg_y = len(f.coeffs) - 1
@@ -717,26 +738,27 @@ def factor_bivariate(f: Poly) -> PrimeFactorization:
 # irreducibility / primality oracles
 
 def _engine_for(ring: Ring) -> Optional[Callable]:
-    if ring == ZZ:
-        return factor_integer
-    if ring == ZX:
+    if ring == ZX:  # first: the most frequent ring, matched by identity
         return factor_poly_zx
     if ring == ZXY:
         return factor_bivariate
+    if ring == ZZ:
+        return factor_integer
     return None
 
 
 def is_irreducible(ring: Ring, a: Element) -> bool:
-    """Decided by full factorization: nonzero, non-unit, exactly one factor."""
+    """Decided by full factorization: nonzero, non-unit, exactly one factor.
+    Inside ``request_memo`` the factorization comes from the memo."""
     if ring.is_zero(a) or ring.is_unit(a):
         return False
+    engine = _engine_for(ring)
+    if engine is not None:
+        return len(engine(a).factors) == 1
     if ring == LT:
         # T powers are units, so irreducibility reduces to the body over Z[X]
         return is_irreducible(ZX, a.body)
-    engine = _engine_for(ring)
-    if engine is None:
-        raise MathDomainError(f"no irreducibility oracle for {ring.name}")
-    return len(engine(a).factors) == 1
+    raise MathDomainError(f"no irreducibility oracle for {ring.name}")
 
 
 def check_factorization_unique(

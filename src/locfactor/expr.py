@@ -17,9 +17,10 @@ accepts, so parse(render(e)) == e for every engine-produced element.
 
 Sums and products parse to flat lists, so only parentheses deepen the tree;
 they may nest ``NESTING_DEPTH_CAP`` deep, and an integer literal may have
-``LITERAL_DIGITS_CAP`` digits.  ``parse_expr`` refuses input whose
-powers, multiplied through their nesting, exceed ``EXPONENT_CAP`` before it
-evaluates anything.
+``LITERAL_DIGITS_CAP`` digits.  Before it evaluates anything, ``parse_expr``
+refuses input whose powers, multiplied through their nesting, exceed
+``EXPONENT_CAP``, and input whose values could need more than
+``DENSE_TERMS_CAP`` dense coefficients.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ EXPONENT_CAP = 100
 # limit ``sys.set_int_max_str_digits`` accepts, so ``int()`` never refuses a
 # literal that got past it.
 LITERAL_DIGITS_CAP = 100
+# Bound on (deg_X + 1) * (deg_Y + 1) over every value evaluation can build.
+# The tests, golden files and benchmark corpora stay within 101 (X^100).  At
+# the cap, with literals of up to 6 digits, evaluation took at most 0.16 s
+# (degree 255 in X); above it, (X*Y+X+Y+1)^100 (10,201) took 1.5 s and
+# (X+Y+1)^100*(X+Y+2)^100 (40,401) 7.2 s (CPython 3.11, one core of a
+# 2-vCPU guest).
+DENSE_TERMS_CAP = 256
 
 
 def _tokenize(text: str) -> list[tuple]:
@@ -195,6 +203,25 @@ def _exponent_reach(node) -> int:
     return 1
 
 
+def _degree_reach(node) -> tuple[int, int]:
+    """Upper bounds on the X- and Y-degrees of every value evaluating node
+    builds: sums take the larger, products add, powers multiply."""
+    op = node[0]
+    if op == "var":
+        return (int(node[1] == "X"), int(node[1] == "Y"))
+    if op == "neg":
+        return _degree_reach(node[1])
+    if op in ("sum", "mul"):
+        reach = [_degree_reach(c) for c in node[1]]
+        combine = max if op == "sum" else sum
+        return (combine(r[0] for r in reach), combine(r[1] for r in reach))
+    if op == "pow":
+        dx, dy = _degree_reach(node[1])
+        e = max(node[2], 1)  # x^0 still evaluates x; T is the only negative base
+        return (dx * e, dy * e)
+    return (0, 0)
+
+
 def _infer_ring(variables: set) -> Ring:
     if "T" in variables:
         if variables - {"T"}:
@@ -247,6 +274,12 @@ def parse_expr(text: str) -> tuple[Ring, Element]:
         raise DeskScaleError(
             f"desk-scale limit: exponent {reach} exceeds {EXPONENT_CAP} "
             "(nested exponents multiply)"
+        )
+    dx, dy = _degree_reach(ast)
+    if (dx + 1) * (dy + 1) > DENSE_TERMS_CAP:
+        raise DeskScaleError(
+            f"desk-scale limit: degrees up to {dx} in X and {dy} in Y need "
+            f"{(dx + 1) * (dy + 1)} dense coefficients, over {DENSE_TERMS_CAP}"
         )
     return ring, _evaluate(ast, ring, _env_for(ring))
 

@@ -100,6 +100,8 @@ class Ring:
         raise NotImplementedError
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, Ring) and self.signature() == other.signature()
 
     def __hash__(self):
@@ -351,6 +353,79 @@ class PolynomialRing(Ring):
         return ("poly", self.coeff.signature(), self.var)
 
 
+class IntegerPolynomialRing(PolynomialRing):
+    """Z[var]: the dense ring above with its coefficient loops on plain ints.
+
+    Equal to ``PolynomialRing(ZZ, var)`` and interchangeable with it; the
+    kernels skip the per-coefficient dispatch to ``IntegerRing``.  A product
+    or quotient of nonzero integer polynomials has a nonzero leading
+    coefficient, so neither needs trimming.
+    """
+
+    def __init__(self, var: str):
+        super().__init__(ZZ, var)
+
+    def make(self, coeffs) -> Poly:
+        cs = list(coeffs)
+        while cs and not cs[-1]:
+            cs.pop()
+        return Poly(cs)
+
+    def is_zero(self, a):
+        return not a.coeffs
+
+    def add(self, a, b):
+        x, y = a.coeffs, b.coeffs
+        if len(x) < len(y):
+            x, y = y, x
+        out = list(x)
+        for i, c in enumerate(y):
+            out[i] += c
+        return self.make(out)
+
+    def neg(self, a):
+        return Poly([-c for c in a.coeffs])
+
+    def mul(self, a, b):
+        x, y = a.coeffs, b.coeffs
+        if not x or not y:
+            return self.zero
+        out = [0] * (len(x) + len(y) - 1)
+        for i, c in enumerate(x):
+            if c:
+                for j, d in enumerate(y, i):
+                    out[j] += c * d
+        return Poly(out)
+
+    def exact_div(self, a, b):
+        if not b.coeffs:
+            raise MathDomainError("division by zero")
+        if not a.coeffs:
+            return self.zero
+        q = zx_exact_div_coeffs(a.coeffs, b.coeffs)
+        return None if q is None else Poly(q)
+
+
+def zx_exact_div_coeffs(a, b) -> Optional[list[int]]:
+    """a / b over Z for nonzero integer coefficient sequences without trailing
+    zeros, lowest degree first; None when b does not divide a."""
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return None
+    rem = list(a)
+    lead = b[-1]
+    q = [0] * (len(rem) - db)
+    for k in range(len(q) - 1, -1, -1):
+        t, r = divmod(rem[k + db], lead)
+        if r:
+            return None
+        if t:
+            q[k] = t
+            for i in range(db):
+                rem[k + i] -= t * b[i]
+    return None if any(rem[:db]) else q
+
+
 class Laurent:
     """Laurent polynomial value: body * T^low.
 
@@ -384,7 +459,7 @@ class LaurentRing(Ring):
 
     def __init__(self, var: str = "T"):
         self.var = var
-        self.poly = PolynomialRing(IntegerRing(), var)
+        self.poly = IntegerPolynomialRing(var)
         self.zero = Laurent(0, Poly(()))
         self.one = Laurent(0, Poly((1,)))
 
@@ -546,7 +621,7 @@ class RationalFunctionField(Ring):
 
 ZZ = IntegerRing()
 QQ = RationalField()
-ZX = PolynomialRing(ZZ, "X")
+ZX = IntegerPolynomialRing("X")
 QX = PolynomialRing(QQ, "X")
 ZXY = PolynomialRing(ZX, "Y")
 LT = LaurentRing("T")

@@ -1,13 +1,17 @@
 """CLI behavior: output shapes, exit codes, batch mode, JSON schema."""
 
+import contextlib
 import io
 import json
 import subprocess
 import sys
 import time
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locfactor.cli import main
 from locfactor.expr import parse_in_ring, render
@@ -140,11 +144,55 @@ class TestExitCodes:
             "  5  (multiplicity 99)",
         ]
 
+    def test_integer_size_cap(self, capsys):
+        # found by the fuzz test: the sieve leaves a 955-bit cofactor, on
+        # which Pollard rho spent 22 s before its iteration budget ran out
+        t0 = time.monotonic()
+        assert main(["factor", "98-02342^89+9268"]) == 2
+        assert time.monotonic() - t0 < 0.5
+        assert capsys.readouterr().err == (
+            "error: desk-scale limit: cofactor of 955 bits left after the sieve exceeds 192 bits\n"
+        )
+        assert main(["factor", "2^100*3^60*7^50"]) == 0  # 340 bits, all taken by the sieve
+
+    def test_degree_cap(self, capsys):
+        # each spent seconds building the product before the bivariate cap
+        # refused it: 13.3 s and 2.7 s
+        for text in ("(X+Y+1)^100*(X+Y+2)^100", "(X*Y+X+Y+1)^100"):
+            t0 = time.monotonic()
+            assert main(["factor", text]) == 2
+            assert time.monotonic() - t0 < 0.5
+            assert capsys.readouterr().err.startswith("error: desk-scale limit: degrees up to")
+        assert main(["factor", "(X^10)^10 - X^100 + X^2 - 1"]) == 0  # 101 coefficients
+
     def test_deep_nesting(self, capsys):
         # used to escape as a RecursionError traceback
         assert main(["factor", "(" * 3000 + "X" + ")" * 3000]) == 1
         assert capsys.readouterr().err == "error: parentheses nest deeper than 100 (at position 100)\n"
         assert main(["factor", "(" * 100 + "X+1" + ")" * 100]) == 0
+
+
+# the expression alphabet, a space and one non-ASCII decimal digit
+_FUZZ_ALPHABET = "0123456789XYT+-*^() \u0663"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((["factor"], ["factor", "--json"], ["compare"])),
+       st.text(alphabet=_FUZZ_ALPHABET, max_size=24))
+def test_fuzz_every_input_ends_with_a_code(command, text):
+    """Any short input ends in bounded time with exit code 0-3, an error line
+    whenever the code is not 0, and never a traceback.  "--" ends the options,
+    so the command reads stdin, which is empty here."""
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.monotonic()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", io.StringIO()):
+        rc = main(command + [text])
+    assert time.monotonic() - t0 < 10
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if rc:
+        assert "error:" in err.getvalue()
 
 
 class TestLeadingMinus:

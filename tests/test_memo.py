@@ -1,6 +1,7 @@
-"""The request-scoped memo of the Z[X] engine: one factorization per
-distinct input, no leakage across requests, certificate replay from scratch,
-and identical output with and without the memo."""
+"""The request-scoped memo of the polynomial engines (``kronecker_factor``,
+``factor_poly_zx`` and ``factor_bivariate``): one factorization per distinct
+input at each engine, no leakage across requests, certificate replay from
+scratch, and identical output with and without the memo."""
 
 import contextlib
 import io
@@ -15,19 +16,22 @@ from locfactor.basefactor import kronecker_factor, request_memo
 from locfactor.cli import main, run_factor
 from locfactor.errors import DeskScaleError
 from locfactor.rings import LT, ZX, ZXY
-from locfactor.routes import compare_routes, factor_zx_via_laurent
+from locfactor.routes import compare_routes, factor_iterated, factor_zx_via_laurent
+
+# the uncached body behind each memoized engine
+ENGINE_BODIES = ("_kronecker_factor_uncached", "_factor_poly_zx_uncached", "_factor_bivariate_uncached")
 
 
-def _count_worker(monkeypatch) -> list:
-    """Record every input of the uncached Z[X] engine."""
+def _count_worker(monkeypatch, body: str = "_kronecker_factor_uncached") -> list:
+    """Record every input of the uncached engine body ``body``."""
     seen = []
-    worker = basefactor._kronecker_factor_uncached
+    worker = getattr(basefactor, body)
 
     def counting(p):
         seen.append(p)
         return worker(p)
 
-    monkeypatch.setattr(basefactor, "_kronecker_factor_uncached", counting)
+    monkeypatch.setattr(basefactor, body, counting)
     return seen
 
 
@@ -54,6 +58,22 @@ def test_compare_searches_each_distinct_input_once(monkeypatch):
     counts = Counter(seen)
     assert counts and set(counts.values()) == {1}
     assert len(seen) > 1  # the routes refactor more than the input itself
+
+
+def test_compare_runs_each_engine_body_once_per_input(monkeypatch):
+    seen = {body: _count_worker(monkeypatch, body) for body in ENGINE_BODIES[:2]}
+    f = expr.parse_in_ring("(X^4+X+1)(X^4-3X^2+5)(X^3+2)*6", ZX)
+    compare_routes(f)
+    for body, inputs in seen.items():
+        counts = Counter(inputs)
+        assert len(counts) > 1 and set(counts.values()) == {1}, body
+
+
+def test_iterated_runs_the_bivariate_body_once_per_input(monkeypatch):
+    seen = _count_worker(monkeypatch, "_factor_bivariate_uncached")
+    factor_iterated(expr.parse_in_ring("2*X^2*Y^2-2*X^2", ZXY))
+    counts = Counter(seen)
+    assert len(counts) > 1 and set(counts.values()) == {1}
 
 
 def test_without_a_memo_the_search_repeats(monkeypatch):
@@ -126,6 +146,15 @@ def test_replay_recomputes_inside_an_open_memo(monkeypatch):
         assert basefactor._REQUEST_MEMO.get() is memo
 
 
+def test_replay_reaches_every_engine_body_inside_an_open_memo(monkeypatch):
+    with request_memo():
+        res = factor_iterated(expr.parse_in_ring("2*X^2*Y^2-2*X^2", ZXY))
+        certs = [c for c in res.certificates if c.case == "localization"]
+        seen = {body: _count_worker(monkeypatch, body) for body in ENGINE_BODIES}
+        assert certs and all(cert.replay() for cert in certs)
+    assert all(seen.values()), seen
+
+
 def _seeded_inputs(count: int) -> list:
     """Products of small factors in Z[X], a few Laurent and bivariate ones."""
     rng = random.Random("memo-equivalence")
@@ -171,12 +200,13 @@ def _run_all(inputs) -> list:
 
 def test_output_identical_without_the_memo(monkeypatch):
     inputs = _seeded_inputs(50)
-    seen = _count_worker(monkeypatch)
+    seen = {body: _count_worker(monkeypatch, body) for body in ENGINE_BODIES}
     with_memo = _run_all(inputs)
-    searches_with = len(seen)
+    runs_with = {body: len(calls) for body, calls in seen.items()}
     _memo_off(monkeypatch)
     without_memo = _run_all(inputs)
-    assert len(seen) - searches_with > searches_with  # the memo really was off
+    for body, calls in seen.items():  # the memo really was off at every engine
+        assert len(calls) - runs_with[body] > runs_with[body], body
     assert sum(rc == 0 for _, _, rc, _, _ in with_memo) > len(with_memo) // 2
     for a, b in zip(with_memo, without_memo):
         assert a == b

@@ -19,6 +19,7 @@ from locfactor.rings import (
     ZX,
     ZXY,
     ZZ,
+    PolynomialRing,
     laurent_to_poly,
     poly_gcd_z,
     strip_var_power,
@@ -208,6 +209,34 @@ def test_gcd_scales_with_a_common_factor(a, b, g):
             assert not x.coeffs
     canonical = ZX.canonical_associate(ag)[1]
     assert poly_gcd_z(ag, ZX.zero) == canonical == poly_gcd_z(ZX.zero, ag)
+
+
+GENERIC_ZX = PolynomialRing(ZZ, "X")
+# raw coefficient lists: the zero polynomial, trailing zeros and all
+_raw_coeffs = st.lists(st.integers(-20, 20), min_size=0, max_size=7)
+
+
+@settings(max_examples=300)
+@given(_raw_coeffs, _raw_coeffs)
+def test_integer_ring_matches_the_generic_ring(xs, ys):
+    """The integer-native Z[X] agrees with PolynomialRing(ZZ, "X"), which
+    dispatches every coefficient operation to IntegerRing."""
+    assert ZX == GENERIC_ZX and GENERIC_ZX == ZX
+    a, b = ZX.make(xs), ZX.make(ys)
+    assert a == GENERIC_ZX.make(xs) and b == GENERIC_ZX.make(ys)
+    for op in ("add", "sub", "mul"):
+        assert getattr(ZX, op)(a, b) == getattr(GENERIC_ZX, op)(a, b), op
+    assert ZX.neg(a) == GENERIC_ZX.neg(a)
+    assert ZX.is_zero(a) == GENERIC_ZX.is_zero(a)
+    assert ZX.canonical_associate(a) == GENERIC_ZX.canonical_associate(a)
+    product = ZX.mul(a, b)
+    for num, den in ((a, b), (product, b), (product, a), (ZX.add(product, ZX.one), b)):
+        if not den.coeffs:
+            for ring in (ZX, GENERIC_ZX):
+                with pytest.raises(MathDomainError):
+                    ring.exact_div(num, den)
+            continue
+        assert ZX.exact_div(num, den) == GENERIC_ZX.exact_div(num, den)
 
 
 def test_immutability():
