@@ -19,8 +19,9 @@ Sums and products parse to flat lists, so only parentheses deepen the tree;
 they may nest ``NESTING_DEPTH_CAP`` deep, and an integer literal may have
 ``LITERAL_DIGITS_CAP`` digits.  Before it evaluates anything, ``parse_expr``
 refuses input whose powers, multiplied through their nesting, exceed
-``EXPONENT_CAP``, and input whose values could need more than
-``DENSE_TERMS_CAP`` dense coefficients.
+``EXPONENT_CAP``, input whose values could need more than
+``DENSE_TERMS_CAP`` dense coefficients, and input whose values could need
+more than ``DENSE_BITS_CAP`` bits in dense coefficients.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ LITERAL_DIGITS_CAP = 100
 # (X+Y+1)^100*(X+Y+2)^100 (40,401) 7.2 s (CPython 3.11, one core of a
 # 2-vCPU guest).
 DENSE_TERMS_CAP = 256
+# Bound on (deg_X + 1) * (deg_Y + 1) * bits over every value evaluation can
+# build, where 2^bits bounds the value's 1-norm.  The tests, golden files and
+# benchmark corpora stay within 18,079 ((X^10)^10 + 3^89).  At the cap one
+# product or power took at most 0.01 s to evaluate, for example
+# (999*X*X+999*X+999)^100; with a 100-digit literal N, (N*X+N)^100 (3.4
+# million) took 0.6 s and (N*X+1)^100*(N*X+2)^100 (13.4 million) 2.9 s
+# (CPython 3.11, one core of a 2-vCPU guest).  The terms of a sum each cost
+# up to that, so a long input still takes longer than a short one.
+DENSE_BITS_CAP = 2**18
 
 
 def _tokenize(text: str) -> list[tuple]:
@@ -203,23 +213,29 @@ def _exponent_reach(node) -> int:
     return 1
 
 
-def _degree_reach(node) -> tuple[int, int]:
-    """Upper bounds on the X- and Y-degrees of every value evaluating node
-    builds: sums take the larger, products add, powers multiply."""
+def _size_reach(node) -> tuple[int, int, int]:
+    """Upper bounds on the X- and Y-degrees and on log2 of the 1-norm of
+    every value evaluating node builds.  Degrees: sums take the larger,
+    products add, powers multiply.  Bits: a literal gives its bit length, a
+    sum the largest of its terms plus one bit per '+', products add and
+    powers multiply."""
     op = node[0]
+    if op == "int":
+        return (0, 0, abs(node[1]).bit_length())
     if op == "var":
-        return (int(node[1] == "X"), int(node[1] == "Y"))
+        return (int(node[1] == "X"), int(node[1] == "Y"), 0)
     if op == "neg":
-        return _degree_reach(node[1])
+        return _size_reach(node[1])
     if op in ("sum", "mul"):
-        reach = [_degree_reach(c) for c in node[1]]
-        combine = max if op == "sum" else sum
-        return (combine(r[0] for r in reach), combine(r[1] for r in reach))
+        reach = [_size_reach(c) for c in node[1]]
+        if op == "sum":
+            return (max(r[0] for r in reach), max(r[1] for r in reach),
+                    max(r[2] for r in reach) + len(reach) - 1)
+        return tuple(sum(r[k] for r in reach) for k in range(3))
     if op == "pow":
-        dx, dy = _degree_reach(node[1])
         e = max(node[2], 1)  # x^0 still evaluates x; T is the only negative base
-        return (dx * e, dy * e)
-    return (0, 0)
+        return tuple(v * e for v in _size_reach(node[1]))
+    raise ParseError(f"unknown node {op!r}")
 
 
 def _infer_ring(variables: set) -> Ring:
@@ -275,11 +291,17 @@ def parse_expr(text: str) -> tuple[Ring, Element]:
             f"desk-scale limit: exponent {reach} exceeds {EXPONENT_CAP} "
             "(nested exponents multiply)"
         )
-    dx, dy = _degree_reach(ast)
-    if (dx + 1) * (dy + 1) > DENSE_TERMS_CAP:
+    dx, dy, bits = _size_reach(ast)
+    terms = (dx + 1) * (dy + 1)
+    if terms > DENSE_TERMS_CAP:
         raise DeskScaleError(
             f"desk-scale limit: degrees up to {dx} in X and {dy} in Y need "
-            f"{(dx + 1) * (dy + 1)} dense coefficients, over {DENSE_TERMS_CAP}"
+            f"{terms} dense coefficients, over {DENSE_TERMS_CAP}"
+        )
+    if terms * bits > DENSE_BITS_CAP:
+        raise DeskScaleError(
+            f"desk-scale limit: {terms} dense coefficients of up to {bits} bits "
+            f"need {terms * bits} bits, over {DENSE_BITS_CAP}"
         )
     return ring, _evaluate(ast, ring, _env_for(ring))
 

@@ -106,7 +106,8 @@ class SMember:
         ring = submonoid.ring
         value = ring.one
         for g, e in zip(submonoid.generators, exponents):
-            value = ring.mul(value, ring.pow(g, e))
+            if e:
+                value = ring.mul(value, ring.pow(g, e))
         object.__setattr__(self, "submonoid", submonoid)
         object.__setattr__(self, "exponents", tuple(exponents))
         object.__setattr__(self, "value", value)

@@ -1,17 +1,20 @@
 """Base engine tests: frozen expectations verified by independent oracles
 (brute-force trial division, exhaustive divisor search, naive expansion)."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction as QFrac
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from locfactor import basefactor
 from locfactor.basefactor import (
     MILLER_RABIN_EXACT_BOUND,
     PrimeFactorization,
+    _conclusive,
     check_factorization_unique,
     factor_bivariate,
     factor_integer,
@@ -279,3 +282,116 @@ class TestIrreducibilityOracles:
         with pytest.raises(MathDomainError):  # no Q[X] engine
             is_irreducible(QX, QX.make([QFrac(1), QFrac(2)]))
         assert not is_irreducible(QX, QX.make([QFrac(3)]))  # unit in Q[X]
+
+
+class TestLiftingPrecision:
+    """The Zassenhaus engine lifts only until a failed recombination test of
+    total degree d is conclusive: mod > 2 * B(d), with
+    B(d) = C(d, d//2) * |f|_2 bounding lc(f)/lc(g) * g for every factor g."""
+
+    def test_conclusive_boundary(self):
+        # |f|_2 = 5, so 2 * B(d) = 10 * C(d, d//2) is an integer
+        for d in range(17):
+            twice = 10 * math.comb(d, d // 2)
+            assert not _conclusive(twice, d, 25)
+            assert _conclusive(twice + 1, d, 25)
+
+    def test_second_lifting_round(self, monkeypatch):
+        # at the first precision a failed pair test is not conclusive, so
+        # the engine lifts one squaring further and recombines again
+        rounds = []
+        recombine = basefactor._recombine
+
+        def counting(f, lifted, mod):
+            out = recombine(f, lifted, mod)
+            rounds.append(out is not None)
+            return out
+
+        monkeypatch.setattr(basefactor, "_recombine", counting)
+        p = ZX.make([-12, 36, 86, -92, -26, 93, -20, -10, 8])
+        pf = kronecker_factor(p)
+        assert rounds == [False, True]
+        assert pf.factors == (ZX.make([-2, 8, 3, -4, 2]), ZX.make([6, 6, -10, 3, 4]))
+        assert pf.value(ZX) == p
+
+
+def _binomial(d, sign):  # X^d + sign
+    return ZX.make([sign] + [0] * (d - 1) + [1])
+
+
+_bounded_factor = st.one_of(
+    st.tuples(st.integers(1, 8), st.sampled_from((2, 10, 1000, 10**6))).flatmap(
+        lambda t: st.lists(st.integers(-t[1], t[1]), min_size=t[0] + 1, max_size=t[0] + 1)
+    ).map(ZX.make),
+    st.tuples(st.integers(1, 16), st.sampled_from((1, -1))).map(lambda t: _binomial(*t)),
+    st.integers(1, 16).map(lambda k: ZX.pow(ZX.make([1, 1]), k)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_bounded_factor, min_size=1, max_size=5))
+# (X+1)(2X+1)(7X-1): half the bound lifts it to 25 only, where every
+# candidate wraps around and the engine would call the cubic irreducible
+@example([ZX.make([1, 1]), ZX.make([1, 2]), ZX.make([-1, 7])])
+@example([_binomial(16, -1)])
+def test_factors_within_the_lifting_bound(generators):
+    """Products of random factors with coefficients up to the cap, of
+    binomials X^d +- 1 and of powers of X + 1: every factor g satisfies
+    |lc(f)/lc(g) * g_i| <= B(deg g), and the factors are those of the
+    generators."""
+    gens, p = [], ZX.one
+    for g in generators:
+        if len(g.coeffs) < 2 or len(p.coeffs) + len(g.coeffs) - 2 > 16:
+            continue
+        _, g = poly_primitive(g)
+        q = ZX.mul(p, g)
+        if max(abs(c) for c in q.coeffs) > 10**6:
+            continue
+        gens.append(g)
+        p = q
+    assume(gens)
+    pf = kronecker_factor(p)
+    norm_sq = sum(c * c for c in p.coeffs)
+    for g in pf.factors:
+        d, scale = len(g.coeffs) - 1, abs(p.coeffs[-1]) // g.coeffs[-1]
+        assert max(abs(scale * c) for c in g.coeffs) ** 2 <= math.comb(d, d // 2) ** 2 * norm_sq
+    assert Counter(pf.factors) == sum((Counter(kronecker_factor(g).factors) for g in gens), Counter())
+
+
+# Hensel steps the engine took on the products of test_hensel_steps_guard when
+# it lifted every input past 2 * |lc| * 2^n * sqrt(n+1) * max|f|
+_HENSEL_STEPS_AT_THE_MIGNOTTE_BOUND = 3756
+
+
+def _near_cap_products(count):
+    """Seeded products of degree 10-16 of factors of degree 1-3 with
+    coefficients in [-2, 2], within the engine's caps."""
+    rng = random.Random("hensel-steps")
+    out = []
+    while len(out) < count:
+        p, left = ZX.one, rng.randint(10, 16)
+        while left:
+            d = min(rng.randint(1, 3), left)
+            middle = [rng.randint(-2, 2) for _ in range(d - 1)]
+            p = ZX.mul(p, ZX.make([rng.choice((-2, -1, 1, 2))] + middle + [rng.randint(1, 2)]))
+            left -= d
+        if max(abs(c) for c in p.coeffs) <= 10**6:
+            out.append(poly_primitive(p)[1])
+    return out
+
+
+def test_hensel_steps_guard(monkeypatch):
+    """A count, not a time: lifting only as far as recombination needs takes
+    at most 70% of the Hensel steps of lifting past the worst-case bound."""
+    steps = 0
+    step = basefactor._hensel_step
+
+    def counting(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    monkeypatch.setattr(basefactor, "_hensel_step", counting)
+    for p in _near_cap_products(200):
+        assert kronecker_factor(p).value(ZX) == p
+    assert steps <= _HENSEL_STEPS_AT_THE_MIGNOTTE_BOUND * 7 // 10

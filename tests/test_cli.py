@@ -144,6 +144,18 @@ class TestExitCodes:
             "  5  (multiplicity 99)",
         ]
 
+    def test_coefficient_size_cap(self, capsys):
+        # within the degree cap, but with a 100-digit literal N evaluation
+        # spent 3.2 s building coefficients of tens of thousands of bits
+        n = "9" * 100
+        t0 = time.monotonic()
+        assert main(["factor", f"({n}*X+1)^100*({n}*X+2)^100"]) == 2
+        assert time.monotonic() - t0 < 0.5
+        assert capsys.readouterr().err == (
+            "error: desk-scale limit: 201 dense coefficients of up to 66800 bits "
+            "need 13426800 bits, over 262144\n"
+        )
+
     def test_integer_size_cap(self, capsys):
         # found by the fuzz test: the sieve leaves a 955-bit cofactor, on
         # which Pollard rho spent 22 s before its iteration budget ran out

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from locfactor.errors import DeskScaleError, ParseError
-from locfactor.expr import EXPONENT_CAP, parse_expr, parse_in_ring, render
+from locfactor.expr import DENSE_BITS_CAP, EXPONENT_CAP, _parse, _size_reach, parse_expr, parse_in_ring, render
 from locfactor.rings import LT, ZX, ZXY, ZZ
 from locfactor.selftest import rand_elem
 
@@ -89,6 +89,33 @@ class TestParseErrors:
                 parse_expr(bad)
         # rendered engine output is re-read without the cap
         assert parse_in_ring("-T^-150", LT) == LT.t_power(-150, -1)
+
+    def test_coefficient_size_cap(self):
+        # 256 dense coefficients of 1,024 bits: five 2^100 (200 bits each)
+        # and a 24-bit literal sit exactly at the cap, a 25-bit one over it
+        head = "X^100*X^100*X^55*2^100*2^100*2^100*2^100*2^100*"
+        assert parse_expr(head + str(2**24 - 1))[1].coeffs[255] == 2**500 * (2**24 - 1)
+        over = f"256 dense coefficients of up to 1025 bits need 262400 bits, over {DENSE_BITS_CAP}"
+        with pytest.raises(DeskScaleError, match=over):
+            parse_expr(head + str(2**24))
+
+    def test_size_bound_covers_every_value(self):
+        # 2^bits bounds the 1-norm: a literal gives its bit length, each '+'
+        # one bit, products add and powers multiply
+        def one_norm(ring, e):
+            if ring == ZZ:
+                return abs(e)
+            if ring == LT:
+                e = e.body
+            if ring == ZXY:
+                return sum(one_norm(ZX, c) for c in e.coeffs)
+            return sum(abs(c) for c in e.coeffs)
+
+        for text in ("(3*X+5)^7*(X-1)", "(X+Y+1)^3 + 4*Y - 9", "-(2X+1)^5 + 7", "T^-3 + 5*T",
+                     "(X+1)^16", "2^100*3^60", "X + X + X + X + X", "(12*X*Y - Y + 1)^4"):
+            ring, e = parse_expr(text)
+            bits = _size_reach(_parse(text)[0])[2]
+            assert one_norm(ring, e) <= 2**bits, text
 
 
 class TestRendering:
