@@ -13,7 +13,7 @@ The package is organized bottom-up:
 * ``descent``      -- primality certificates and the descent factorizer
 * ``routes``       -- Laurent / fraction-field / bivariate routes; the Laurent
                       oracle, and one constant-primes oracle serving both
-                      Z[X] (via Q[X]) and Z[X][Y] (via Frac(Z[X])[Y])
+                      Z[X] and Z[X][Y], realized by Gauss's lemma on R[Y]
 * ``expr``         -- expression parsing and rendering
 * ``selftest``     -- seeded randomized property suites
 * ``cli``          -- the ``locfactor`` command
@@ -67,17 +67,12 @@ from .localization import (
     witness_multiset,
 )
 from .rings import (
-    FRAC_ZX,
-    FXY,
     LT,
-    QQ,
-    QX,
     ZX,
     ZXY,
     ZZ,
     Laurent,
     Poly,
-    RatFunc,
     Ring,
     laurent_to_poly,
     strip_var_power,

@@ -20,14 +20,15 @@ they may nest ``NESTING_DEPTH_CAP`` deep, and an integer literal may have
 ``LITERAL_DIGITS_CAP`` digits.  Before it evaluates anything, ``parse_expr``
 refuses input whose powers, multiplied through their nesting, exceed
 ``EXPONENT_CAP``, input whose values could need more than
-``DENSE_TERMS_CAP`` dense coefficients, and input whose values could need
-more than ``DENSE_BITS_CAP`` bits in dense coefficients.
+``DENSE_TERMS_CAP`` dense coefficients, input whose values could need
+more than ``DENSE_BITS_CAP`` bits in dense coefficients, and input whose sums
+add up terms that could need more than that in all.
 """
 
 from __future__ import annotations
 
 from .errors import DeskScaleError, ParseError
-from .rings import FRAC_ZX, LT, QQ, QX, ZX, ZXY, ZZ, Element, Laurent, Poly, Ring
+from .rings import LT, ZX, ZXY, ZZ, Element, Laurent, Poly, Ring
 
 _VARS = ("X", "Y", "T")
 
@@ -55,7 +56,11 @@ DENSE_TERMS_CAP = 256
 # (999*X*X+999*X+999)^100; with a 100-digit literal N, (N*X+N)^100 (3.4
 # million) took 0.6 s and (N*X+1)^100*(N*X+2)^100 (13.4 million) 2.9 s
 # (CPython 3.11, one core of a 2-vCPU guest).  The terms of a sum each cost
-# up to that, so a long input still takes longer than a short one.
+# up to that, so the cap also bounds the dense bits of all the terms of all
+# the sums together: a sum of 100 copies of (999999*X+999999)^100 (21.2
+# million) took 0.47 s to evaluate before the engine refused its degree.
+# The tests, golden files, selftest and benchmark corpora (seeds 1-10) stay
+# within a total of 3,000 (a sum of 3,000 ones).
 DENSE_BITS_CAP = 2**18
 
 
@@ -213,28 +218,33 @@ def _exponent_reach(node) -> int:
     return 1
 
 
-def _size_reach(node) -> tuple[int, int, int]:
+def _size_reach(node) -> tuple[int, int, int, int]:
     """Upper bounds on the X- and Y-degrees and on log2 of the 1-norm of
-    every value evaluating node builds.  Degrees: sums take the larger,
-    products add, powers multiply.  Bits: a literal gives its bit length, a
-    sum the largest of its terms plus one bit per '+', products add and
-    powers multiply."""
+    every value evaluating node builds, and the total dense size of the
+    terms its sums add up.  Degrees: sums take the larger, products add,
+    powers multiply.  Bits: a literal gives its bit length, a sum the largest
+    of its terms plus one bit per '+', products add and powers multiply.
+    Each term of every sum is charged its dense size
+    (deg_X + 1) * (deg_Y + 1) * bits, since evaluation builds each one."""
     op = node[0]
     if op == "int":
-        return (0, 0, abs(node[1]).bit_length())
+        return (0, 0, abs(node[1]).bit_length(), 0)
     if op == "var":
-        return (int(node[1] == "X"), int(node[1] == "Y"), 0)
+        return (int(node[1] == "X"), int(node[1] == "Y"), 0, 0)
     if op == "neg":
         return _size_reach(node[1])
     if op in ("sum", "mul"):
         reach = [_size_reach(c) for c in node[1]]
+        summed = sum(r[3] for r in reach)
         if op == "sum":
+            summed += sum((r[0] + 1) * (r[1] + 1) * r[2] for r in reach)
             return (max(r[0] for r in reach), max(r[1] for r in reach),
-                    max(r[2] for r in reach) + len(reach) - 1)
-        return tuple(sum(r[k] for r in reach) for k in range(3))
+                    max(r[2] for r in reach) + len(reach) - 1, summed)
+        return (*(sum(r[k] for r in reach) for k in range(3)), summed)
     if op == "pow":
         e = max(node[2], 1)  # x^0 still evaluates x; T is the only negative base
-        return tuple(v * e for v in _size_reach(node[1]))
+        dx, dy, bits, summed = _size_reach(node[1])
+        return (dx * e, dy * e, bits * e, summed)
     raise ParseError(f"unknown node {op!r}")
 
 
@@ -291,7 +301,7 @@ def parse_expr(text: str) -> tuple[Ring, Element]:
             f"desk-scale limit: exponent {reach} exceeds {EXPONENT_CAP} "
             "(nested exponents multiply)"
         )
-    dx, dy, bits = _size_reach(ast)
+    dx, dy, bits, summed = _size_reach(ast)
     terms = (dx + 1) * (dy + 1)
     if terms > DENSE_TERMS_CAP:
         raise DeskScaleError(
@@ -302,6 +312,11 @@ def parse_expr(text: str) -> tuple[Ring, Element]:
         raise DeskScaleError(
             f"desk-scale limit: {terms} dense coefficients of up to {bits} bits "
             f"need {terms * bits} bits, over {DENSE_BITS_CAP}"
+        )
+    if summed > DENSE_BITS_CAP:
+        raise DeskScaleError(
+            f"desk-scale limit: the terms of sums need {summed} bits in dense "
+            f"coefficients, over {DENSE_BITS_CAP}"
         )
     return ring, _evaluate(ast, ring, _env_for(ring))
 
@@ -411,16 +426,12 @@ def _render_bivariate(a: Poly) -> str:
 
 def render(ring: Ring, a: Element) -> str:
     """Canonical textual form; re-parsing yields the same element."""
-    if ring == ZZ or ring == QQ:
+    if ring == ZZ:
         return str(a)
-    if ring == ZX or ring == QX:
+    if ring == ZX:
         return _render_scalar_poly(a, ring.var)
     if ring == LT:
         return _render_laurent(a)
     if ring == ZXY:
         return _render_bivariate(a)
-    if ring == FRAC_ZX:
-        num = _render_scalar_poly(a.num, "X")
-        den = _render_scalar_poly(a.den, "X")
-        return f"({num})/({den})"
     return repr(a)

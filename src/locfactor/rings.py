@@ -1,19 +1,18 @@
 """Exact arithmetic kernel.
 
-Every value is immutable and exact: Python integers, ``fractions.Fraction``,
-dense polynomials (lowest degree first, no trailing zeros), Laurent
-polynomials over the integers, and reduced rational functions.  A ring is an
-object implementing the uniform contract below; all higher layers program
-against that contract instead of concrete value types, which is what lets the
-same transfer and descent algorithms run over Z, Z[X], Q[X], Z[X][Y] and the
-Laurent ring unchanged.
+Every value is immutable and exact: Python integers, dense polynomials
+(lowest degree first, no trailing zeros) and Laurent polynomials over the
+integers.  A ring is an object implementing the uniform contract below; all
+higher layers program against that contract instead of concrete value types,
+which is what lets the same transfer and descent algorithms run over Z, Z[X],
+Z[X][Y] and the Laurent ring unchanged.
 
 Canonical associate conventions (one normal form per associate class):
 
 * Z       -- nonnegative
-* Q       -- 1 for nonzero elements (field)
 * C[X]    -- leading coefficient in canonical form of C (so Z[X] gets a
-             positive leading coefficient and Q[X] gets monic)
+             positive leading coefficient, and so does the leading
+             coefficient of a Z[X][Y] element)
 * Laurent -- unit is +-T^k, normal has exponent offset 0 and positive
              leading coefficient
 """
@@ -21,7 +20,6 @@ Canonical associate conventions (one normal form per associate class):
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Any, Optional
 
 from .errors import MathDomainError
@@ -151,45 +149,6 @@ class IntegerRing(Ring):
         return ("Z",)
 
 
-class RationalField(Ring):
-    """Q via fractions.Fraction (always reduced, positive denominator)."""
-
-    name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def exact_div(self, a, b):
-        if b == 0:
-            raise MathDomainError("division by zero")
-        return a / b
-
-    def is_unit(self, a):
-        return a != 0
-
-    def canonical_associate(self, a):
-        if a == 0:
-            return (Fraction(1), Fraction(0))
-        return (a, Fraction(1))
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def sort_key(self, a):
-        return a
-
-    def signature(self):
-        return ("Q",)
-
-
 class Poly:
     """Dense polynomial value: coefficient tuple, lowest degree first.
 
@@ -205,11 +164,6 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
-
-    @property
-    def degree(self) -> int:
-        # degree of the zero polynomial is undefined; -1 is a sentinel only
-        return len(self.coeffs) - 1
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -301,26 +255,6 @@ class PolynomialRing(Ring):
         if any(not C.is_zero(c) for c in rem[:db]):
             return None
         return self.make(q)
-
-    def divmod(self, a, b):
-        """Quotient and remainder; requires the coefficient ring to be a field."""
-        if not b.coeffs:
-            raise MathDomainError("division by zero")
-        C = self.coeff
-        db = len(b.coeffs) - 1
-        rem = list(a.coeffs)
-        if len(rem) - 1 < db:
-            return (self.zero, a)
-        inv_lead = C.unit_inverse(b.coeffs[-1])
-        q = [C.zero] * (len(rem) - db)
-        for k in range(len(q) - 1, -1, -1):
-            t = C.mul(rem[k + db], inv_lead)
-            if C.is_zero(t):
-                continue
-            q[k] = t
-            for i, c in enumerate(b.coeffs):
-                rem[k + i] = C.sub(rem[k + i], C.mul(t, c))
-        return (self.make(q), self.make(rem[:db]))
 
     def is_unit(self, a):
         return len(a.coeffs) == 1 and self.coeff.is_unit(a.coeffs[0])
@@ -533,100 +467,10 @@ class LaurentRing(Ring):
         return ("laurent", self.var)
 
 
-class RatFunc:
-    """Reduced fraction of integer polynomials; den is canonical and nonzero."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash(("RatFunc", self.num, self.den))
-
-    def __repr__(self):
-        return f"RatFunc({self.num!r}, {self.den!r})"
-
-
-class RationalFunctionField(Ring):
-    """Frac(Z[X]): rational functions stored reduced, denominator canonical."""
-
-    name = "Frac(Z[X])"
-
-    def __init__(self, poly_ring: PolynomialRing):
-        self.poly = poly_ring
-        self.zero = RatFunc(poly_ring.zero, poly_ring.one)
-        self.one = RatFunc(poly_ring.one, poly_ring.one)
-
-    def make(self, num: Poly, den: Poly) -> RatFunc:
-        P = self.poly
-        if not den.coeffs:
-            raise MathDomainError("zero denominator")
-        if not num.coeffs:
-            return self.zero
-        g = poly_gcd_z(num, den)
-        num = P.exact_div(num, g)
-        den = P.exact_div(den, g)
-        du, dn = P.canonical_associate(den)
-        if dn != den:
-            num = P.mul(num, du)  # du is +-1, folding the sign into the numerator
-        return RatFunc(num, dn)
-
-    def from_poly(self, p: Poly) -> RatFunc:
-        return RatFunc(p, self.poly.one)
-
-    def add(self, a, b):
-        P = self.poly
-        return self.make(
-            P.add(P.mul(a.num, b.den), P.mul(b.num, a.den)), P.mul(a.den, b.den)
-        )
-
-    def neg(self, a):
-        return RatFunc(self.poly.neg(a.num), a.den)
-
-    def mul(self, a, b):
-        P = self.poly
-        return self.make(P.mul(a.num, b.num), P.mul(a.den, b.den))
-
-    def exact_div(self, a, b):
-        if not b.num.coeffs:
-            raise MathDomainError("division by zero")
-        P = self.poly
-        return self.make(P.mul(a.num, b.den), P.mul(a.den, b.num))
-
-    def is_unit(self, a):
-        return bool(a.num.coeffs)
-
-    def canonical_associate(self, a):
-        if not a.num.coeffs:
-            return (self.one, a)
-        return (a, self.one)
-
-    def from_int(self, n):
-        return self.make(self.poly.from_int(n), self.poly.one)
-
-    def sort_key(self, a):
-        return (self.poly.sort_key(a.num), self.poly.sort_key(a.den))
-
-    def signature(self):
-        return ("ratfunc", self.poly.signature())
-
-
 ZZ = IntegerRing()
-QQ = RationalField()
 ZX = IntegerPolynomialRing("X")
-QX = PolynomialRing(QQ, "X")
 ZXY = PolynomialRing(ZX, "Y")
 LT = LaurentRing("T")
-FRAC_ZX = RationalFunctionField(ZX)
-FXY = PolynomialRing(FRAC_ZX, "Y")
 
 
 def poly_content(p: Poly) -> int:
@@ -669,33 +513,6 @@ def zxy_primitive(f: Poly) -> tuple[Poly, Poly]:
     return cont, Poly(tuple(ZX.exact_div(c, cont) for c in f.coeffs))
 
 
-def qx_from_zx(p: Poly) -> Poly:
-    """The image of an integer polynomial in Q[X]."""
-    return Poly(tuple(Fraction(c) for c in p.coeffs))
-
-
-def fxy_from_zxy(p: Poly) -> Poly:
-    """The image of a Z[X][Y] polynomial in Frac(Z[X])[Y]."""
-    return Poly(tuple(FRAC_ZX.from_poly(c) for c in p.coeffs))
-
-
-def zx_clear_denominators(p: Poly) -> tuple[int, Poly]:
-    """Smallest d > 0 with d*p integral; returns (d, d*p as an integer Poly)."""
-    d = 1
-    for c in p.coeffs:
-        d = d * c.denominator // math.gcd(d, c.denominator)
-    return d, Poly(tuple(int(c * d) for c in p.coeffs))
-
-
-def zxy_clear_denominators(p: Poly) -> tuple[Poly, Poly]:
-    """Canonical lcm d of the denominators of p in Frac(Z[X])[Y]; returns
-    (d, d*p as a Z[X][Y] Poly)."""
-    d = ZX.one
-    for c in p.coeffs:
-        d = poly_lcm_z(d, c.den)
-    return d, ZXY.make([ZX.exact_div(ZX.mul(c.num, d), c.den) for c in p.coeffs])
-
-
 def poly_gcd_z(a: Poly, b: Poly) -> Poly:
     """Gcd in Z[X], returned with positive leading coefficient: the gcd of the
     contents times the last primitive remainder of the primitive parts, which
@@ -719,14 +536,6 @@ def poly_gcd_z(a: Poly, b: Poly) -> Poly:
             r = [x // c for x in r]
         a, b = b, r
     return Poly(tuple(math.gcd(ca, cb) * x for x in a))
-
-
-def poly_lcm_z(a: Poly, b: Poly) -> Poly:
-    if not a.coeffs or not b.coeffs:
-        return ZX.zero
-    g = poly_gcd_z(a, b)
-    m = ZX.mul(a, ZX.exact_div(b, g))
-    return ZX.canonical_associate(m)[1]
 
 
 def strip_var_power(p: Poly) -> tuple[int, Poly]:

@@ -6,17 +6,19 @@ each other:
 * direct        -- ``factor_poly_zx`` (content + Zassenhaus), no localization
 * laurent       -- localize at the powers of X; the Laurent ring factorizer is
                    the oracle and the descent layer pulls factors back
-* fraction field-- localize at the constant primes that actually occur;
-                   Q[X] is the oracle
+* fraction field-- localize at the constant primes that actually occur
+                   and compare with Q[X]
 
-plus the bivariate route for Z[X][Y], which descends from polynomials with
-rational-function coefficients and is cross-checked against the Y -> X^D
-(Kronecker) substitution engine.
+plus the bivariate route for Z[X][Y], which descends the same way from
+Frac(Z[X])[Y] and is cross-checked against the Y -> X^D (Kronecker)
+substitution engine.
 
 The fraction-field and bivariate routes are one construction, as in the
 paper: R[Y] localized at the constant primes of R and compared with
 Frac(R)[Y], for R = Z and R = Z[X].  ``ConstantPrimesOracle`` realizes it
-once, from the ``CoefficientRing`` records ``OVER_Z`` and ``OVER_ZX``.
+once, by Gauss's lemma on R[Y]: it computes in R[Y] alone, and needs of R
+only the split into content and primitive part that the ``CoefficientRing``
+records ``OVER_Z`` and ``OVER_ZX`` supply.
 """
 
 from __future__ import annotations
@@ -39,22 +41,15 @@ from .descent import DescentResult, LocalizationOracle, certify_prime, descend_f
 from .errors import MathDomainError, OracleViolationError
 from .localization import Fraction, GeneratedSubmonoid, SMember
 from .rings import (
-    FXY,
     LT,
-    QX,
     ZX,
     ZXY,
     Element,
     Laurent,
     Poly,
-    PolynomialRing,
-    fxy_from_zxy,
     laurent_to_poly,
     poly_primitive,
-    qx_from_zx,
     strip_var_power,
-    zx_clear_denominators,
-    zxy_clear_denominators,
     zxy_primitive,
 )
 
@@ -151,26 +146,24 @@ class CoefficientRing:
     """What the constant-primes oracle needs of the coefficient ring R."""
 
     name: str  # the oracle's name in certificates
-    field_poly: PolynomialRing  # Frac(R)[Y]
-    to_field: Callable  # R[Y] -> Frac(R)[Y]
-    clear: Callable  # Frac(R)[Y] -> (d in R, d*p in R[Y])
-    primitive: Callable  # R[Y] -> (content in R, primitive part)
+    primitive: Callable  # R[Y] -> (content c in R, primitive part p), c * p == input
 
 
-OVER_Z = CoefficientRing("Q[X] factorization", QX, qx_from_zx, zx_clear_denominators, poly_primitive)
-OVER_ZX = CoefficientRing(
-    "Frac(Z[X])[Y] factorization", FXY, fxy_from_zxy, zxy_clear_denominators, zxy_primitive
-)
+OVER_Z = CoefficientRing("Q[X] factorization", poly_primitive)
+OVER_ZX = CoefficientRing("Frac(Z[X])[Y] factorization", zxy_primitive)
 
 
 class ConstantPrimesOracle(LocalizationOracle):
-    """Localization of R[Y] at constant primes of R, realized by Frac(R)[Y].
+    """Localization of R[Y] at constant primes of R, compared with Frac(R)[Y]
+    by Gauss's lemma on R[Y].
 
-    By Gauss's lemma a primitive polynomial factors the same way over R and
-    over Frac(R), and the content is a unit of Frac(R)[Y]; so ``engine``, the
-    R[Y] factorizer of primitive polynomials, answers for Frac(R)[Y] and the
-    prime fractions need no denominators.  The engine is passed in rather
-    than captured, so a caller that rebinds it by name is seen here too.
+    A primitive polynomial factors the same way over R and over Frac(R), and
+    divides an element of R[Y] over Frac(R) exactly when it does over R; the
+    content is a unit of Frac(R)[Y].  So ``engine``, the R[Y] factorizer of
+    primitive polynomials, answers for Frac(R)[Y], the prime fractions need
+    no denominators, and divisibility needs only exact division in R[Y].  The
+    engine is passed in rather than captured, so a caller that rebinds it by
+    name is seen here too.
     """
 
     def __init__(self, S: GeneratedSubmonoid, R: CoefficientRing, engine):
@@ -187,17 +180,19 @@ class ConstantPrimesOracle(LocalizationOracle):
         return (unit_frac, tuple(Fraction(q, self.S.one_member()) for q in pf.factors))
 
     def divides(self, x: Fraction, y: Fraction) -> Optional[tuple[SMember, Element]]:
-        R, S = self.R, self.S
-        if S.ring.is_zero(x.num):
+        S = self.S
+        ring = S.ring
+        if ring.is_zero(x.num):
             return None
-        quot, rem = R.field_poly.divmod(R.to_field(y.num), R.to_field(x.num))
-        if rem.coeffs:
+        c, px = self.R.primitive(x.num)
+        q = ring.exact_div(y.num, px)  # px | y over Frac(R) iff over R
+        if q is None:
             return None
-        d, cleared = R.clear(quot)
-        exps, rest = S.strip(S.ring.constant(d))
-        if rest != S.ring.one:
+        exps, rest = S.strip(ring.constant(c))  # c == s.value * rest
+        cleared = ring.exact_div(q, rest)
+        if cleared is None:
             return None  # no witness with denominator inside this submonoid
-        return (S.member(exps), cleared)
+        return (S.member(exps), cleared)  # s.value * y == x * cleared
 
     def is_prime_embedded(self, r: Element) -> bool:
         if self.S.ring.is_zero(r):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction as QFrac
 from typing import Optional
 
 from . import expr
@@ -45,10 +44,7 @@ from .localization import (
     witness_multiset,
 )
 from .rings import (
-    FRAC_ZX,
     LT,
-    QQ,
-    QX,
     ZX,
     ZXY,
     ZZ,
@@ -60,6 +56,9 @@ from .rings import (
     zxy_x_degree,
 )
 from .routes import (
+    OVER_Z,
+    OVER_ZX,
+    ConstantPrimesOracle,
     compare_routes,
     factor_laurent,
     factor_zx_via_fraction_field,
@@ -90,27 +89,12 @@ def rand_zx(rng, max_deg=4, bound=9, nonzero=False):
     return p
 
 
-def rand_qx(rng, max_deg=4, bound=9, nonzero=False):
-    deg = rng.randint(0, max_deg)
-    coeffs = [QFrac(rng.randint(-bound, bound), rng.randint(1, 4)) for _ in range(deg + 1)]
-    p = QX.make(coeffs)
-    if nonzero and QX.is_zero(p):
-        return rand_qx(rng, max_deg, bound, nonzero)
-    return p
-
-
 def rand_laurent(rng, nonzero=False):
     low = rng.randint(-3, 3)
     p = LT.make(low, [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))])
     if nonzero and LT.is_zero(p):
         return rand_laurent(rng, nonzero)
     return p
-
-
-def rand_ratfunc(rng, nonzero=False):
-    num = rand_zx(rng, 2, 5, nonzero=nonzero)
-    den = rand_zx(rng, 2, 5, nonzero=True)
-    return FRAC_ZX.make(num, den)
 
 
 def _bivariate_feasible(f) -> bool:
@@ -156,29 +140,18 @@ def rand_bivariate_feasible(rng):
 def rand_elem(rng, ring, nonzero=False):
     if ring == ZZ:
         return rand_int(rng, 1000, nonzero)
-    if ring == QQ:
-        while True:
-            q = QFrac(rng.randint(-50, 50), rng.randint(1, 20))
-            if q or not nonzero:
-                return q
     if ring == ZX:
         return rand_zx(rng, nonzero=nonzero)
-    if ring == QX:
-        return rand_qx(rng, nonzero=nonzero)
     if ring == LT:
         return rand_laurent(rng, nonzero)
     if ring == ZXY:
         return rand_bivariate(rng, nonzero)
-    if ring == FRAC_ZX:
-        return rand_ratfunc(rng, nonzero)
     raise SelfTestFailure(f"no generator for {ring.name}")
 
 
 def rand_unit(rng, ring):
     if ring == ZZ or ring == ZX or ring == ZXY:
         return ring.from_int(rng.choice((1, -1)))
-    if ring == QQ or ring == QX or ring == FRAC_ZX:
-        return ring.from_int(rng.choice((1, -1, 2, 3)))
     if ring == LT:
         return LT.t_power(rng.randint(-2, 2), rng.choice((1, -1)))
     raise SelfTestFailure(f"no unit generator for {ring.name}")
@@ -369,7 +342,7 @@ def kronecker_reference(p: Poly) -> PrimeFactorization:
 # ---------------------------------------------------------------------------
 # suites
 
-_AXIOM_RINGS = (ZZ, QQ, ZX, QX, LT, ZXY, FRAC_ZX)
+_AXIOM_RINGS = (ZZ, ZX, LT, ZXY)
 
 
 def suite_rings_axioms(rng, trials):
@@ -624,18 +597,40 @@ def suite_loc_split_conservation(rng, trials):
             raise SelfTestFailure("split: multiset not conserved")
 
 
-def suite_loc_transfer_prime_divides(rng, trials):
-    """transfer_prime_divides against exact division in the base ring, over
-    submonoids of Z and Z[X] with two to four prime generators."""
-    for _ in range(trials):
-        if rng.random() < 0.5:
+def _divides_instance(rng):
+    """Ring, submonoid, prime and oracle of one transfer_prime_divides trial:
+    the base engine's oracle over two to four primes of Z or Z[X], or the
+    constant-primes oracle over one to three constant primes of Z[X] or
+    Z[X][Y], with a prime outside the submonoid, constant or not."""
+    kind = rng.randrange(4)
+    if kind < 2:
+        if kind == 0:
             ring, engine, primes = ZZ, factor_integer, _INT_PRIMES
         else:
             ring, engine = ZX, factor_poly_zx
             primes = tuple(ZX.make(c) for c in _ZX_PRIMES_COEFFS)
         chosen = rng.sample(primes, rng.randint(3, 5))
-        p = ring.mul(rand_unit(rng, ring), chosen[0])
         S = GeneratedSubmonoid(ring, chosen[1:])
+        return ring, S, chosen[0], BaseEngineOracle(S, engine)
+    if kind == 2:
+        ring, R, engine = ZX, OVER_Z, kronecker_factor
+        constants = [ZX.constant(q) for q in _INT_PRIMES]
+        others = [ZX.make(c) for c in _ZX_PRIMES_COEFFS]
+    else:
+        ring, R, engine = ZXY, OVER_ZX, factor_bivariate
+        constants = [expr.parse_in_ring(t, ZXY) for t in ("X", "X+1", "2", "3")]
+        others = [expr.parse_in_ring(t, ZXY) for t in ("Y", "Y+X", "X*Y+1", "Y^2+X", "2*Y+X")]
+    gens = rng.sample(constants, rng.randint(1, 3))
+    p = rng.choice([q for q in constants + others if q not in gens])
+    S = GeneratedSubmonoid(ring, gens)
+    return ring, S, p, ConstantPrimesOracle(S, R, engine)
+
+
+def suite_loc_transfer_prime_divides(rng, trials):
+    """transfer_prime_divides against exact division in the base ring."""
+    for _ in range(trials):
+        ring, S, p, oracle = _divides_instance(rng)
+        p = ring.mul(rand_unit(rng, ring), p)
 
         def cofactor():
             s = S.member(tuple(rng.randint(0, 2) for _ in S.generators))
@@ -644,7 +639,7 @@ def suite_loc_transfer_prime_divides(rng, trials):
         a, b = ring.mul(p, cofactor()), cofactor()
         if rng.random() < 0.5:
             a, b = b, a
-        side, d = transfer_prime_divides(S, p, a, b, BaseEngineOracle(S, engine))
+        side, d = transfer_prime_divides(S, p, a, b, oracle)
         if side == "right" and ring.exact_div(a, p) is not None:
             raise SelfTestFailure("transfer_prime_divides passed over a left side that p divides")
         exact = ring.exact_div(a if side == "left" else b, p)

@@ -4,7 +4,6 @@
 import math
 import random
 from collections import Counter
-from fractions import Fraction as QFrac
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,7 +22,7 @@ from locfactor.basefactor import (
     kronecker_factor,
 )
 from locfactor.errors import DeskScaleError, MathDomainError, PreconditionError
-from locfactor.rings import QX, ZX, ZXY, ZZ, poly_content, poly_primitive
+from locfactor.rings import ZX, ZXY, ZZ, PolynomialRing, poly_content, poly_primitive
 from locfactor.selftest import kronecker_reference, rand_zx
 
 
@@ -279,9 +278,10 @@ class TestIrreducibilityOracles:
         assert is_irreducible(ZX, ZX.make([1, 0, 1]))
         assert not is_irreducible(ZZ, 1)
         assert not is_irreducible(ZZ, 0)
-        with pytest.raises(MathDomainError):  # no Q[X] engine
-            is_irreducible(QX, QX.make([QFrac(1), QFrac(2)]))
-        assert not is_irreducible(QX, QX.make([QFrac(3)]))  # unit in Q[X]
+        zy = PolynomialRing(ZZ, "Y")  # Z[Y], which has no engine
+        with pytest.raises(MathDomainError):
+            is_irreducible(zy, zy.make([1, 2]))
+        assert not is_irreducible(zy, zy.make([-1]))  # a unit, decided without an engine
 
 
 class TestLiftingPrecision:

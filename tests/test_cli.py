@@ -155,6 +155,15 @@ class TestExitCodes:
             "error: desk-scale limit: 201 dense coefficients of up to 66800 bits "
             "need 13426800 bits, over 262144\n"
         )
+        # each term and their sum pass the per-value caps, but evaluating the
+        # 100 terms took 0.5 s before the engine refused degree 100
+        t0 = time.monotonic()
+        assert main(["factor", "+".join(["(999999*X+999999)^100"] * 100)]) == 2
+        assert time.monotonic() - t0 < 0.1
+        assert capsys.readouterr().err == (
+            "error: desk-scale limit: the terms of sums need 21216000 bits in dense "
+            "coefficients, over 262144\n"
+        )
 
     def test_integer_size_cap(self, capsys):
         # found by the fuzz test: the sieve leaves a 955-bit cofactor, on

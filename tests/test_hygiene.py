@@ -1,7 +1,7 @@
 """Source hygiene of the package, checked with the stdlib ``ast`` module:
 every module-level function and constant has exactly one definition, every
-module-level function and class and every class method is used, and no
-module imports a name it never uses."""
+module-level function, class and constant and every class method is used, and
+no module imports a name it never uses."""
 
 import ast
 from collections import defaultdict
@@ -15,16 +15,26 @@ def _modules():
     return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
 
 
+def _assigned_names(node):
+    """Names a module-level assignment binds (none for other statements)."""
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _module_level_definitions(tree):
     """Names of module-level functions and assigned constants (dunders excluded)."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+        names |= _assigned_names(node)
+    return {n for n in names if not _is_dunder(n)}
 
 
 def _unused_imports(tree):
@@ -85,13 +95,15 @@ def test_each_function_and_class_is_used():
         for alias in node.names
     }
     unused = [
-        f"{module}:{node.name}"
+        f"{module}:{name}"
         for module, tree in modules.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("__")
-        and node.name not in exported | in_tests
-        and not readers[node.name] - {node}
+        for name in (
+            {node.name} if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else _assigned_names(node)
+        )
+        if not _is_dunder(name)
+        and name not in exported | in_tests
+        and not readers[name] - {node}
     ]
     assert unused == []
 

@@ -5,17 +5,13 @@ the test (naive convolution, evaluation homomorphism, brute-force quotient
 search) rather than against the code paths under test.
 """
 
-from fractions import Fraction as QFrac
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locfactor.errors import MathDomainError
 from locfactor.rings import (
-    FRAC_ZX,
     LT,
-    QX,
     ZX,
     ZXY,
     ZZ,
@@ -73,12 +69,6 @@ class TestPolynomialRing:
         u, n = ZX.canonical_associate(ZX.make([2, -2]))  # -2X + 2
         assert u == ZX.make([-1]) and n == ZX.make([-2, 2])
 
-    def test_canonical_qx_monic(self):
-        p = QX.make([QFrac(0), QFrac(1, 2)])  # (1/2) X
-        u, n = QX.canonical_associate(p)
-        assert n == QX.make([QFrac(0), QFrac(1)])
-        assert QX.mul(u, n) == p
-
     def test_mul_respects_evaluation(self):
         # evaluation at a point is an independent homomorphism oracle
         a = ZX.make([3, -2, 0, 1])
@@ -90,12 +80,16 @@ class TestPolynomialRing:
     def test_unit_family(self):
         assert not ZX.is_unit(ZX.gen)
         assert ZX.is_unit(ZX.make([-1]))
-        assert QX.is_unit(QX.make([QFrac(5)]))
-        assert not QX.is_unit(QX.gen)
 
     def test_zero_degree_rejected(self):
         with pytest.raises(MathDomainError):
             ZX.degree(ZX.zero)
+
+    def test_gcd(self):
+        a = ZX.make(naive_mul([1, 1], [2, 2]))  # 2(X+1)^2
+        b = ZX.make(naive_mul([1, 1], [0, 4]))  # 4X(X+1)
+        g = poly_gcd_z(a, b)
+        assert g == ZX.make([2, 2])
 
 
 class TestStripAndLaurent:
@@ -131,26 +125,6 @@ class TestStripAndLaurent:
         assert LT.make(0, [0, 0, 2]).low == 2
         assert LT.make(5, []) == LT.zero
 
-
-class TestRationalFunctionField:
-    def test_reduced_and_canonical(self):
-        a = FRAC_ZX.make(ZX.make([0, 2]), ZX.make([0, 0, -4]))  # 2X / -4X^2
-        assert a.num == ZX.make([-1])
-        assert a.den == ZX.make([0, 2])
-        assert a.den.coeffs[-1] > 0
-
-    def test_field_ops(self):
-        x = FRAC_ZX.make(ZX.one, ZX.gen)
-        y = FRAC_ZX.make(ZX.gen, ZX.one)
-        assert FRAC_ZX.eq(FRAC_ZX.mul(x, y), FRAC_ZX.one)
-        assert FRAC_ZX.is_unit(x)
-        assert not FRAC_ZX.is_unit(FRAC_ZX.zero)
-
-    def test_gcd(self):
-        a = ZX.make(naive_mul([1, 1], [2, 2]))  # 2(X+1)^2
-        b = ZX.make(naive_mul([1, 1], [0, 4]))  # 4X(X+1)
-        g = poly_gcd_z(a, b)
-        assert g == ZX.make([2, 2])
 
 
 class TestBivariate:
@@ -255,7 +229,6 @@ def test_pow_matches_repeated_multiplication():
         ZX: ZX.make([1, -2, 1]),
         LT: LT.make(-1, [2, 0, 1]),
         ZXY: ZXY.make([ZX.make([1, 1]), ZX.make([0, 2])]),
-        FRAC_ZX: FRAC_ZX.make(ZX.make([1, 1]), ZX.make([0, 1])),
     }
     for ring, a in bases.items():
         product = ring.one
