@@ -6,10 +6,10 @@ These are the base oracles everything else is cross-checked against:
                             rho; a probable prime above the Miller-Rabin exact
                             bound (~3.3 * 10**24) is refused as desk-scale
 * ``kronecker_factor``   -- primitive integer polynomials, by Zassenhaus's
-                            algorithm: Berlekamp modulo a small prime, Hensel
-                            lifting only as far as a per-degree Mignotte bound
-                            needs, recombination (desk scale: degree <= 16,
-                            coefficients <= 10**6)
+                            algorithm: roots and Berlekamp modulo a small
+                            prime, Newton and Hensel lifting only as far as a
+                            per-degree Mignotte bound needs, recombination
+                            (desk scale: degree <= 16, coefficients <= 10**6)
 * ``factor_poly_zx``     -- content split + ``kronecker_factor`` on the
                             primitive part
 * ``factor_bivariate``   -- Z[X][Y] by packing Y -> X^D and regrouping the
@@ -219,9 +219,13 @@ def _pollard_rho(n: int, left: int) -> tuple[int, int]:
 #
 # Polynomials in this section are plain int lists, lowest degree first, with
 # no trailing zeros.  The steps follow von zur Gathen & Gerhard, "Modern
-# Computer Algebra", ch. 14-15: squarefree part over Z, Berlekamp over a small
-# prime, Hensel lifting, and recombination of the lifted factors by trial
-# division.
+# Computer Algebra", ch. 14-15: squarefree part over Z; modulo a small prime,
+# the roots by evaluation and Berlekamp on what is left; lifting, the roots
+# by Newton's iteration and the other factors down a Hensel tree; and
+# recombination of the lifted factors by trial division.  The roots are
+# taken off the tree because a root costs O(n) to find and to lift per
+# step, where a tree node costs O(n^2): on near-cap-direct products about
+# 3.3 of 7.2 modular factors are linear.
 #
 # The lift goes only as far as recombination needs (vzGG section 6.6).  Let h
 # of degree d divide the cofactor f_t that recombination has left of f.
@@ -235,16 +239,19 @@ def _pollard_rho(n: int, left: int) -> tuple[int, int]:
 # Modulo mod > 2 B(d) the candidate is exact, so a failed test of total
 # degree d proves that its subset gives no factor; below, it proves nothing.
 
-# Berlekamp runs over the good primes in increasing order: those that do not
-# divide the leading coefficient and keep the input squarefree.  It stops at
-# the first prime where the input stays irreducible, at the first with at most
-# _FEW_MODULAR_FACTORS factors, or after _BERLEKAMP_PRIMES good primes; the
-# prime with the fewest factors is lifted.  A product of many small factors
-# has about as many modular factors at every prime, so a further pass rarely
-# finds fewer: stopping at 12 instead of 8 cut the engine time on
-# near-cap-direct products by 16% (p95 -39%), and left dense degree-16 inputs
-# and zx-compare products unchanged (interleaved in-process timings, CPython
-# 3.11, 2-vCPU guest).  Recombining 12 factors tries at most 2^11 subsets.
+# The factors are counted over the good primes in increasing order: those
+# that do not divide the leading coefficient and keep the input squarefree.
+# The count stops at the first prime where the input stays irreducible, at
+# the first with at most _FEW_MODULAR_FACTORS factors, or after
+# _BERLEKAMP_PRIMES good primes; the prime with the fewest factors is lifted.
+# A product of many small factors has about as many modular factors at every
+# prime, so a further pass rarely finds fewer.  With the roots off the Hensel
+# tree, stopping at 8 or 10 factors instead of 12 made the engine 27% and 3%
+# slower on near-cap-direct products; stopping at 16, that is at the first
+# good prime, saved nothing there, and none of the four moved dense degree-16
+# inputs or products of 1-4 factors of degree 1-3 by more than 2%
+# (interleaved in-process timings, CPython 3.11, 2-vCPU guest).  Recombining
+# 12 factors tries at most 2^11 subsets.
 _BERLEKAMP_PRIMES = 5
 _FEW_MODULAR_FACTORS = 12
 
@@ -339,6 +346,35 @@ def _gf_bezout(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
     return s1, t1
 
 
+def _eval_mod(f: list[int], x: int, m: int) -> int:
+    v = 0
+    for c in reversed(f):
+        v = (v * x + c) % m
+    return v
+
+
+def _gf_roots(f: list[int], p: int) -> list[int]:
+    """The roots of f in GF(p), by evaluating f at every element at once."""
+    xs = range(p)
+    vals = [f[-1]] * p
+    for c in reversed(f[:-1]):
+        vals = [(v * x + c) % p for v, x in zip(vals, xs)]
+    return [x for x, v in zip(xs, vals) if not v]
+
+
+def _divide_roots(f: list[int], roots: list[int], m: int) -> list[int]:
+    """f / prod(X - r) modulo m by synthetic division, for roots r of f
+    modulo m whose differences are units."""
+    for r in roots:
+        q = [0] * (len(f) - 1)
+        acc = 0
+        for i in range(len(f) - 1, 0, -1):
+            acc = (acc * r + f[i]) % m
+            q[i - 1] = acc
+        f = q
+    return f
+
+
 def _berlekamp_basis(f: list[int], p: int) -> list[list[int]]:
     """Basis of {v : v^p == v mod f} for a monic squarefree f over GF(p);
     its size is the number of irreducible factors of f modulo p."""
@@ -422,42 +458,101 @@ def _berlekamp_split(f: list[int], basis: list[list[int]], p: int) -> list[list[
     return factors
 
 
-def _hensel_step(m, f, g, h, s, t, last):
-    """Lift f == g*h and s*g + t*h == 1 (h monic) from modulus m to m^2;
-    the last step leaves s and t unlifted (vzGG Algorithm 15.10).  Products
-    accumulate unreduced and each output is reduced once."""
+def _hensel_step(m, f, g, h, s, t, stale):
+    """Lift f == g*h (h monic) from modulus m to m^2, given s*g + t*h == 1
+    modulo m, or modulo sqrt(m) when stale: then s and t are lifted to m
+    first.  This is vzGG Algorithm 15.10 with each Bezout update moved to the
+    start of the next step, so a lift that stops leaves s and t one step
+    behind and can go on later.  Products accumulate unreduced and each
+    output is reduced once."""
+    if stale:
+        b = _reduce(_mul_acc(_mul_acc([-1], s, g), t, h), m)  # s*g + t*h - 1
+        c, d = _divmod_monic(_mul_acc([], s, b), h, m)
+        s = _reduce(_mul_acc(list(s), [-1], d), m)  # s - d
+        t = _reduce(_mul_acc(_mul_acc(list(t), [-x for x in t], b), [-x for x in c], g), m)  # t - t*b - c*g
     mm = m * m
     e = _reduce(_mul_acc(list(f), [-c for c in g], h), mm)  # f - g*h
     q, r = _divmod_monic(_mul_acc([], s, e), h, mm)
     g = _reduce(_mul_acc(_mul_acc(list(g), t, e), q, g), mm)  # g + t*e + q*g
     h = _reduce(_mul_acc(list(h), [1], r), mm)  # h + r
-    if last:
-        return g, h, s, t
-    b = _reduce(_mul_acc(_mul_acc([-1], s, g), t, h), mm)  # s*g + t*h - 1
-    c, d = _divmod_monic(_mul_acc([], s, b), h, mm)
-    s = _reduce(_mul_acc(list(s), [-1], d), mm)  # s - d
-    t = _reduce(_mul_acc(_mul_acc(list(t), [-x for x in t], b), [-x for x in c], g), mm)  # t - t*b - c*g
     return g, h, s, t
 
 
-def _hensel_lift(f: list[int], factors: list[list[int]], p: int, steps: int) -> list[list[int]]:
-    """Monic lifts modulo p^(2^steps) of the monic factors of f modulo p,
-    split in halves down a factor tree."""
+def _newton_step(f, df, m, x, s, stale):
+    """Lift a root x modulo m of f to modulus m^2, given s == 1/f'(x) modulo
+    m, or modulo sqrt(m) when stale: then s is lifted to m first.  Newton's
+    iteration x - f(x)/f'(x) (vzGG section 9.4), with the inverse lifted one
+    step behind as in ``_hensel_step``."""
+    if stale:
+        s = s * (2 - _eval_mod(df, x, m) * s) % m
+    mm = m * m
+    return (x - _eval_mod(f, x, mm) * s) % mm, s
+
+
+def _hensel_tree(lead: int, factors: list[list[int]], p: int) -> Optional[list]:
+    """The factor tree over GF(p) of lead times the product of the monic
+    factors: None for a single factor, else the node [g, h, s, t, left,
+    right] that splits them in halves, g = lead * prod(left half), h the
+    monic rest and s*g + t*h == 1."""
     if len(factors) == 1:
-        return [_monic_mod(f, p ** (2**steps))]
+        return None
     k = len(factors) // 2
-    g = [f[-1] % p]
+    g = [lead]
     for u in factors[:k]:
         g = _mul_mod(g, u, p)
     h = [1]
     for u in factors[k:]:
         h = _mul_mod(h, u, p)
     s, t = _gf_bezout(g, h, p)
-    m = p
-    for i in range(steps):
-        g, h, s, t = _hensel_step(m, f, g, h, s, t, i == steps - 1)
-        m *= m
-    return _hensel_lift(g, factors[:k], p, steps) + _hensel_lift(h, factors[k:], p, steps)
+    return [g, h, s, t, _hensel_tree(lead, factors[:k], p), _hensel_tree(1, factors[k:], p)]
+
+
+def _lift_tree(node: Optional[list], f: list[int], p: int, m: int, mod: int, out: list) -> None:
+    """Append to out the monic lifts modulo mod of the factors below node,
+    whose pieces are lifted to m so far, for f given modulo mod."""
+    if node is None:
+        out.append(_monic_mod(f, mod))
+        return
+    g, h, s, t, left, right = node
+    reached = m
+    while reached < mod:
+        g, h, s, t = _hensel_step(reached, f, g, h, s, t, reached > p)
+        reached *= reached
+    node[:4] = g, h, s, t
+    _lift_tree(left, g, p, m, mod, out)
+    _lift_tree(right, h, p, m, mod, out)
+
+
+class _Lifting:
+    """The modular factors of f modulo p, lifted one squaring of the modulus
+    at a time, each round going on from the precision the last one reached.
+    Simple roots rise by Newton's iteration; the nonlinear factors rise down
+    a Hensel tree of f divided by the roots' linear factors."""
+
+    def __init__(self, f: list[int], roots: list[int], nonlinear: list[list[int]], p: int):
+        self.f, self.df = f, [i * c for i, c in enumerate(f)][1:]
+        self.p = self.m = p
+        self.roots = [(r, pow(_eval_mod(self.df, r, p), -1, p)) for r in roots]
+        self.has_tree = bool(nonlinear)
+        self.tree = _hensel_tree(f[-1] % p, nonlinear, p) if nonlinear else None
+
+    def lift(self, mod: int) -> list[list[int]]:
+        """Monic lifts modulo mod, a power of the modulus reached so far, of
+        the modular factors: the roots' linear factors first."""
+        p, m = self.p, self.m
+        lifted = []
+        for i, (x, s) in enumerate(self.roots):
+            reached = m
+            while reached < mod:
+                x, s = _newton_step(self.f, self.df, reached, x, s, reached > p)
+                reached *= reached
+            self.roots[i] = x, s
+            lifted.append([-x % mod, 1])
+        if self.has_tree:
+            cofactor = _divide_roots(_reduce(self.f, mod), [x for x, _ in self.roots], mod)
+            _lift_tree(self.tree, cofactor, p, m, mod, lifted)
+        self.m = mod
+        return lifted
 
 
 def _split_by_subsets(count: int, split: Callable[[tuple], bool]) -> None:
@@ -562,28 +657,33 @@ def _factor_squarefree(f: list[int]) -> list[list[int]]:
         fp = _monic_mod([c % p for c in f], p)
         if len(_gf_gcd(fp, _trim([i * c % p for i, c in enumerate(fp)][1:]), p)) > 1:
             continue
-        basis = _berlekamp_basis(fp, p)
-        if len(basis) == 1:
+        roots = _gf_roots(fp, p)
+        rest = _divide_roots(fp, roots, p)
+        # a quadratic or cubic without roots is irreducible
+        basis = [] if len(rest) == 1 else [[1]] if len(rest) <= 4 else _berlekamp_basis(rest, p)
+        count = len(roots) + len(basis)
+        if count == 1:
             return [f]
-        if best is None or len(basis) < len(best[2]):
-            best = (p, fp, basis)
+        if best is None or count < best[0]:
+            best = (count, p, roots, rest, basis)
         good += 1
-        if good == _BERLEKAMP_PRIMES or len(basis) <= _FEW_MODULAR_FACTORS:
+        if good == _BERLEKAMP_PRIMES or count <= _FEW_MODULAR_FACTORS:
             break
-    p, fp, basis = best
-    factors = _berlekamp_split(fp, basis, p)
+    _, p, roots, rest, basis = best
+    nonlinear = _berlekamp_split(rest, basis, p) if basis else []
     # Lift until every single modular factor is decided, then one squaring
     # more for each round in which a failed test was not.  From 2 * B(n-1)
     # on every test is decided, so the rounds end there at the latest.
     norm_sq = sum(c * c for c in f)
-    mod, steps = p, 0
-    while not _conclusive(mod, max(len(u) for u in factors) - 1, norm_sq):
-        mod, steps = mod * mod, steps + 1
+    mod = p
+    while not _conclusive(mod, max((len(u) - 1 for u in nonlinear), default=1), norm_sq):
+        mod *= mod
+    lifting = _Lifting(f, roots, nonlinear, p)
     while True:
-        found = _recombine(f, _hensel_lift(f, factors, p, steps), mod)
+        found = _recombine(f, lifting.lift(mod), mod)
         if found is not None:
             return found
-        mod, steps = mod * mod, steps + 1
+        mod *= mod
 
 
 def _zassenhaus(f: list[int]) -> list[list[int]]:
@@ -642,14 +742,16 @@ def memo_bypassed():
 def kronecker_factor(p: Poly) -> PrimeFactorization:
     """Factor a primitive integer polynomial into canonical irreducibles.
 
-    The engine is Zassenhaus's: squarefree part, Berlekamp modulo a small
-    prime, Hensel lifting, and exhaustive recombination of the lifted
-    factors, so a factor is emitted only when no subset of its modular
-    factors yields a proper divisor.  The lift goes only as far as the
-    recombination tests need: a failed test of total degree d counts once
-    the modulus exceeds 2 * C(d, d//2) * |f|_2, which bounds every candidate
-    of degree d by Mignotte's and Landau's inequalities; a round with a test
-    below that lifts one squaring further and recombines again.  The divisor
+    The engine is Zassenhaus's: squarefree part; modulo a small prime, the
+    roots by evaluation and Berlekamp on the rest; the roots lifted by
+    Newton's iteration and the other modular factors down a Hensel tree; and
+    exhaustive recombination of the lifted factors, so a factor is emitted
+    only when no subset of its modular factors yields a proper divisor.  The
+    lift goes only as far as the recombination tests need: a failed test of
+    total degree d counts once the modulus exceeds 2 * C(d, d//2) * |f|_2,
+    which bounds every candidate of degree d by Mignotte's and Landau's
+    inequalities; a round with a test below that lifts one squaring further,
+    from the precision reached, and recombines again.  The divisor
     search this entry point is named after is ``selftest.kronecker_reference``,
     the independent engine it is checked against.  Inside ``request_memo``
     each distinct input is factored once.

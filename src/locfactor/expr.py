@@ -22,7 +22,8 @@ refuses input whose powers, multiplied through their nesting, exceed
 ``EXPONENT_CAP``, input whose values could need more than
 ``DENSE_TERMS_CAP`` dense coefficients, input whose values could need
 more than ``DENSE_BITS_CAP`` bits in dense coefficients, and input whose sums
-add up terms that could need more than that in all.
+and products build terms and partial products that could need more than that
+in all.
 """
 
 from __future__ import annotations
@@ -59,8 +60,12 @@ DENSE_TERMS_CAP = 256
 # up to that, so the cap also bounds the dense bits of all the terms of all
 # the sums together: a sum of 100 copies of (999999*X+999999)^100 (21.2
 # million) took 0.47 s to evaluate before the engine refused its degree.
-# The tests, golden files, selftest and benchmark corpora (seeds 1-10) stay
-# within a total of 3,000 (a sum of 3,000 ones).
+# Evaluating a product also builds its partial products, so those count
+# too: a sum of 1,000 copies of a product of 255 X's (32.9 million) took
+# 2.5 s to evaluate, and its refusal now takes the 0.65 s that tokenizing
+# and parsing its 509,999 characters take.  The tests, golden files, selftest
+# and benchmark corpora (seeds 1-10) stay within a total of 6,000 (a
+# difference of 3,000 X's).
 DENSE_BITS_CAP = 2**18
 
 
@@ -224,8 +229,12 @@ def _size_reach(node) -> tuple[int, int, int, int]:
     terms its sums add up.  Degrees: sums take the larger, products add,
     powers multiply.  Bits: a literal gives its bit length, a sum the largest
     of its terms plus one bit per '+', products add and powers multiply.
-    Each term of every sum is charged its dense size
-    (deg_X + 1) * (deg_Y + 1) * bits, since evaluation builds each one."""
+    Evaluation builds each term of every sum and each partial product of
+    every product, so the total charges each term its dense size
+    (deg_X + 1) * (deg_Y + 1) * bits, with at least one bit, and each
+    partial product before a product's value one bit per dense coefficient.
+    Then a product of k factors of positive degree costs about k^2 / 2, as
+    its evaluation does."""
     op = node[0]
     if op == "int":
         return (0, 0, abs(node[1]).bit_length(), 0)
@@ -237,9 +246,13 @@ def _size_reach(node) -> tuple[int, int, int, int]:
         reach = [_size_reach(c) for c in node[1]]
         summed = sum(r[3] for r in reach)
         if op == "sum":
-            summed += sum((r[0] + 1) * (r[1] + 1) * r[2] for r in reach)
+            summed += sum((r[0] + 1) * (r[1] + 1) * max(r[2], 1) for r in reach)
             return (max(r[0] for r in reach), max(r[1] for r in reach),
                     max(r[2] for r in reach) + len(reach) - 1, summed)
+        dx, dy = reach[0][:2]
+        for r in reach[1:-1]:
+            dx, dy = dx + r[0], dy + r[1]
+            summed += (dx + 1) * (dy + 1)
         return (*(sum(r[k] for r in reach) for k in range(3)), summed)
     if op == "pow":
         e = max(node[2], 1)  # x^0 still evaluates x; T is the only negative base

@@ -13,7 +13,15 @@ from locfactor import basefactor
 from locfactor.basefactor import (
     MILLER_RABIN_EXACT_BOUND,
     PrimeFactorization,
+    _berlekamp_basis,
+    _berlekamp_split,
     _conclusive,
+    _divide_roots,
+    _gf_gcd,
+    _gf_roots,
+    _Lifting,
+    _monic_mod,
+    _small_primes,
     check_factorization_unique,
     factor_bivariate,
     factor_integer,
@@ -147,6 +155,32 @@ class TestKronecker:
     def test_repeated_factors(self):
         p = ZX.make([1, 2, 1])  # (X+1)^2
         assert kronecker_factor(p).factors == (ZX.make([1, 1]), ZX.make([1, 1]))
+
+    def test_quartics(self):
+        # a second recombination round was needed here before linear modular
+        # factors were lifted by Newton's iteration
+        p = ZX.make([-12, 36, 86, -92, -26, 93, -20, -10, 8])
+        assert kronecker_factor(p).factors == (ZX.make([-2, 8, 3, -4, 2]), ZX.make([6, 6, -10, 3, 4]))
+
+    @pytest.mark.parametrize("p, degrees", [
+        # (X-1)(X-2)...(X-8): eight roots modulo 11, the first good prime
+        (ZX.prod(ZX.make([-k, 1]) for k in range(1, 9)), [1] * 8),
+        # (X^2+2)(X^4+1)(X^3-2): no root at the prime chosen, and X^4+1
+        # splits into two quadratics there
+        (ZX.prod([ZX.make([2, 0, 1]), ZX.make([1, 0, 0, 0, 1]), ZX.make([-2, 0, 0, 1])]), [2, 2, 2, 3]),
+    ])
+    def test_all_or_no_modular_factors_linear(self, monkeypatch, p, degrees):
+        seen = []
+        recombine = basefactor._recombine
+
+        def recording(f, lifted, mod):
+            seen.append(sorted(len(u) - 1 for u in lifted))
+            return recombine(f, lifted, mod)
+
+        monkeypatch.setattr(basefactor, "_recombine", recording)
+        pf = kronecker_factor(p)
+        assert seen[0] == degrees
+        assert pf == kronecker_reference(p)
 
 
 _generator = st.lists(st.integers(-6, 6), min_size=2, max_size=6).map(ZX.make)
@@ -308,11 +342,73 @@ class TestLiftingPrecision:
             return out
 
         monkeypatch.setattr(basefactor, "_recombine", counting)
-        p = ZX.make([-12, 36, 86, -92, -26, 93, -20, -10, 8])
+        p = ZX.make([-81, -36, 69, -106, 119, 67, -39, 71, 40])
         pf = kronecker_factor(p)
         assert rounds == [False, True]
-        assert pf.factors == (ZX.make([-2, 8, 3, -4, 2]), ZX.make([6, 6, -10, 3, 4]))
+        assert pf.factors == (ZX.make([-9, 6, -4, 3, 8]), ZX.make([9, 10, -5, 7, 5]))
         assert pf.value(ZX) == p
+
+    def test_second_round_goes_on_from_the_first(self, monkeypatch):
+        # the second round lifts each piece one step further: each root by
+        # Newton's iteration and each node of the Hensel tree, which has one
+        # node fewer than it has leaves, instead of lifting again from p
+        steps, rounds = [0], []
+        for name in ("_hensel_step", "_newton_step"):
+            step = getattr(basefactor, name)
+
+            def counting(*args, step=step):
+                steps[0] += 1
+                return step(*args)
+
+            monkeypatch.setattr(basefactor, name, counting)
+        recombine = basefactor._recombine
+
+        def recording(f, lifted, mod):
+            linear = sum(len(u) == 2 for u in lifted)
+            rounds.append((steps[0], linear + max(len(lifted) - linear - 1, 0)))
+            return recombine(f, lifted, mod)
+
+        monkeypatch.setattr(basefactor, "_recombine", recording)
+        kronecker_factor(ZX.make([-81, -36, 69, -106, 119, 67, -39, 71, 40]))
+        (first, pieces), (second, _) = rounds
+        assert pieces == 5  # four roots and two quadratics
+        assert second - first == pieces
+
+
+def _value(f, x, m):
+    return sum(c * x**i for i, c in enumerate(f)) % m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_small_primes()[:8]), st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=17))
+def test_roots_and_their_newton_lifts(p, coeffs):
+    """Roots in GF(p) by evaluation, division by their linear factors, and
+    the lifts of every modular factor, checked round after round: each
+    Newton-lifted root x_k has f(x_k) == 0 mod p^(2^k) and x_k == x mod p,
+    and lc(f) times all the lifts is f modulo p^(2^k)."""
+    f = coeffs
+    assume(f[-1] % p)
+    fp = _monic_mod([c % p for c in f], p)
+    derivative = [i * c % p for i, c in enumerate(fp)][1:]
+    while derivative and not derivative[-1]:
+        derivative.pop()
+    assume(len(_gf_gcd(fp, derivative, p)) == 1)  # squarefree modulo p
+    roots = _gf_roots(fp, p)
+    assert roots == [x for x in range(p) if _value(fp, x, p) == 0]
+    rest = _divide_roots(fp, roots, p)
+    assert ZX.make([c % p for c in ZX.prod([ZX.make(rest)] + [ZX.make([-r, 1]) for r in roots]).coeffs]) == ZX.make(fp)
+    assert all(_value(rest, x, p) for x in range(p))
+    nonlinear = _berlekamp_split(rest, _berlekamp_basis(rest, p), p) if len(rest) > 1 else []
+    lifting = _Lifting(f, roots, nonlinear, p)
+    mod = p
+    for _ in range(3):
+        mod *= mod
+        lifted = lifting.lift(mod)
+        for r, u in zip(roots, lifted):
+            x = -u[0] % mod
+            assert _value(f, x, mod) == 0 and x % p == r
+        whole = ZX.prod([ZX.constant(f[-1])] + [ZX.make(u) for u in lifted])
+        assert all((a - b) % mod == 0 for a, b in zip(whole.coeffs, f))
 
 
 def _binomial(d, sign):  # X^d + sign
@@ -380,9 +476,7 @@ def _near_cap_products(count):
     return out
 
 
-def test_hensel_steps_guard(monkeypatch):
-    """A count, not a time: lifting only as far as recombination needs takes
-    at most 70% of the Hensel steps of lifting past the worst-case bound."""
+def _hensel_steps_on_near_cap_products(monkeypatch):
     steps = 0
     step = basefactor._hensel_step
 
@@ -394,4 +488,24 @@ def test_hensel_steps_guard(monkeypatch):
     monkeypatch.setattr(basefactor, "_hensel_step", counting)
     for p in _near_cap_products(200):
         assert kronecker_factor(p).value(ZX) == p
+    return steps
+
+
+def test_hensel_steps_guard(monkeypatch):
+    """A count, not a time: lifting only as far as recombination needs takes
+    at most 70% of the Hensel steps of lifting past the worst-case bound."""
+    steps = _hensel_steps_on_near_cap_products(monkeypatch)
     assert steps <= _HENSEL_STEPS_AT_THE_MIGNOTTE_BOUND * 7 // 10
+
+
+# Hensel steps the engine took on the same products when the linear modular
+# factors went down the Hensel tree with the others
+_HENSEL_STEPS_WITH_LINEAR_FACTORS_IN_THE_TREE = 2427
+
+
+def test_linear_factors_stay_off_the_hensel_tree(monkeypatch):
+    """A count, not a time: with the roots modulo p lifted by Newton's
+    iteration, the Hensel tree takes at most half the steps it took when
+    every modular factor went down it."""
+    steps = _hensel_steps_on_near_cap_products(monkeypatch)
+    assert steps <= _HENSEL_STEPS_WITH_LINEAR_FACTORS_IN_THE_TREE // 2

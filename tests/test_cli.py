@@ -165,6 +165,22 @@ class TestExitCodes:
             "coefficients, over 262144\n"
         )
 
+    def test_products_of_variables_are_charged(self, capsys, monkeypatch):
+        # each term of this 509,999-character sum, a product of 255 X's, has
+        # 1-norm 1 and was charged nothing: evaluating them took 2.5 s before
+        # the engine refused degree 255.  The parser now refuses it first.
+        from locfactor import expr
+
+        def evaluate(*args):
+            raise AssertionError("evaluated")
+
+        monkeypatch.setattr(expr, "_evaluate", evaluate)
+        assert main(["factor", "+".join(["*".join(["X"] * 255)] * 1000)]) == 2
+        assert capsys.readouterr().err == (
+            "error: desk-scale limit: the terms of sums need 32893000 bits in dense "
+            "coefficients, over 262144\n"
+        )
+
     def test_integer_size_cap(self, capsys):
         # found by the fuzz test: the sieve leaves a 955-bit cofactor, on
         # which Pollard rho spent 22 s before its iteration budget ran out

@@ -118,6 +118,19 @@ class TestParseErrors:
             assert one_norm(ring, e) <= 2**bits, text
 
 
+    def test_sums_and_products_are_charged_for_what_they_build(self):
+        # X*X*X*X builds X^2 and X^3 before its value: 3 + 4; as a term of a
+        # sum it is charged its own 5 coefficients with at least one bit,
+        # and so is the term 1
+        assert _size_reach(_parse("X*X*X*X")[0])[3] == 7
+        assert _size_reach(_parse("X*X*X*X + 1")[0])[3] == 7 + 5 + 1
+        assert _size_reach(_parse("2*X")[0])[3] == 0
+        product = "*".join(["X"] * 255)
+        assert parse_expr(product)[1] == ZX.make([0] * 255 + [1])
+        with pytest.raises(DeskScaleError, match="the terms of sums need 263144 bits"):
+            parse_expr("+".join([product] * 8))
+
+
 class TestRendering:
     def test_frozen_forms(self):
         assert render(ZX, ZX.make([-1, 0, 1])) == "X^2 - 1"
