@@ -2,16 +2,17 @@
 localization factorization oracle plus a prime-generated submonoid.
 
 The decision procedure ``certify_prime`` implements the case split at the
-heart of the construction: an irreducible element is either associate to a
-submonoid generator (and prime for that reason), or it avoids the submonoid
-entirely, stays irreducible in the localization, and pulls primality back
-from there.  Every emitted factor carries a replayable
+heart of the construction, by Nagata's argument alone: a non-unit is either
+associate to a submonoid generator (and prime for that reason), or no
+generator divides it, so it divides no element of the submonoid, and its
+primality pulls back from the localization oracle.  Neither case asks a
+base-ring engine.  Every emitted factor carries a replayable
 ``PrimalityCertificate`` for whichever case applied.
 
 ``descend_factor`` then assembles full factorizations: strip generator
 primes, hand the stripped residue to the oracle, normalize the returned
 fraction numerators back into the base ring, certify each residual, and
-reconcile the unit bookkeeping before emitting the result.
+check that the factors multiply back to the input.
 
 Both work for a submonoid with any number of prime generators.  As in the
 paper, this prime-generated hypothesis is the only one: a single-generator
@@ -41,11 +42,8 @@ from .localization import (
     frac_is_unit,
     frac_mul,
     witness_multiset,
-    _require_irreducible,
 )
 from .rings import Element
-
-RECONCILE_PEEL_CAP = 64
 
 
 class LocalizationOracle:
@@ -77,8 +75,8 @@ class PrimalityCertificate:
     """Replayable evidence that ``subject`` is prime in the base ring.
 
     case "generator": subject == unit * generators[generator_index].
-    case "localization": subject avoids the submonoid, its image is not a
-    unit, and the oracle attests the image is prime.
+    case "localization": no generator divides the subject, a non-unit, and
+    the oracle attests its image is prime.
     """
 
     subject: Element
@@ -97,10 +95,7 @@ class PrimalityCertificate:
                 return ring.is_unit(self.unit) and ring.eq(
                     self.subject, ring.mul(self.unit, S.generators[self.generator_index])
                 )
-            hit = find_associate_generator(S, self.subject)
-            if hit is not None:
-                return False
-            if frac_is_unit(embed(self.subject, S)):
+            if find_associate_generator(S, self.subject) is not None:
                 return False
             return self.oracle.is_prime_embedded(self.subject)
 
@@ -118,14 +113,13 @@ class PrimalityCertificate:
 def certify_prime(
     p: Element, S: GeneratedSubmonoid, oracle: LocalizationOracle
 ) -> PrimalityCertificate:
-    """Decide primality of an irreducible p by the generator/avoidance case split."""
-    _require_irreducible(S.ring, p)
+    """Decide primality of p by the generator/avoidance case split: zero, a
+    unit or a proper multiple of a generator is "not irreducible"; an
+    associate of a generator is prime; otherwise ask the oracle."""
     hit = find_associate_generator(S, p)
     if hit is not None:
         i, u = hit
         return PrimalityCertificate(p, S, "generator", generator_index=i, unit=u)
-    if frac_is_unit(embed(p, S)):
-        raise OracleViolationError("avoiding irreducible embedded to a unit")
     if not oracle.is_prime_embedded(p):
         raise OracleViolationError("localization not UFD on this input")
     return PrimalityCertificate(p, S, "localization", oracle=oracle)
@@ -151,10 +145,6 @@ class DescentResult:
     certificates: tuple
 
 
-def _vec_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
 def descend_factor(
     a: Element, S: GeneratedSubmonoid, oracle: LocalizationOracle
 ) -> DescentResult:
@@ -162,8 +152,9 @@ def descend_factor(
 
     Steps: strip generator primes; if the residue is a unit we are done;
     otherwise factor the embedded residue in the localization, normalize each
-    prime fraction's numerator, certify every residual prime, reconcile the
-    submonoid bookkeeping, and verify the reconstruction before returning.
+    prime fraction's numerator, certify every residual prime, and verify
+    a0 == unit * prod(residuals); the generators being pairwise non-associate
+    primes, no exponent bookkeeping is needed beyond that.
     """
     ring = S.ring
     if ring.is_zero(a):
@@ -183,47 +174,21 @@ def descend_factor(
             check = frac_mul(check, f)
         if not frac_eq(check, embed(a0, S)):
             raise OracleViolationError("oracle factorization does not multiply back")
-        u_exps, u_res = S.strip(unit_frac.num)
-        if not ring.is_unit(u_res):
+        if not frac_is_unit(unit_frac):
             raise DescentInconsistencyError(
                 "descent inconsistency: unit fraction does not strip to a unit"
             )
-        lhs_exps = list(unit_frac.den.exponents)
-        rhs_exps = list(u_exps)
         residuals = []
         for f in prime_fracs:
             if ring.is_zero(f.num):
                 raise OracleViolationError("oracle returned a zero factor")
-            f_exps, r = S.strip(f.num)
-            lhs_exps = _vec_add(lhs_exps, f.den.exponents)
-            rhs_exps = _vec_add(rhs_exps, f_exps)
-            ur, rc = ring.canonical_associate(r)
+            _, r = S.strip(f.num)
+            _, rc = ring.canonical_associate(r)
             if ring.is_unit(rc):
                 raise OracleViolationError("oracle returned a unit factor")
-            u_res = ring.mul(u_res, ur)
             cert = certify_prime(rc, S, oracle)
             residuals.append(rc)
             pairs.append((rc, cert))
-        # the submonoid content on both sides of t*a0 == w * prod(residuals) * u
-        # must cancel exactly; any leftover is peeled by exact division and, if
-        # that fails, diagnosed as a broken oracle
-        for i in range(len(lhs_exps)):
-            m = min(lhs_exps[i], rhs_exps[i])
-            lhs_exps[i] -= m
-            rhs_exps[i] -= m
-        leftover = sum(lhs_exps) + sum(rhs_exps)
-        if leftover:
-            if leftover > RECONCILE_PEEL_CAP:
-                raise DescentInconsistencyError("descent inconsistency")
-            prod_res = ring.prod(residuals)
-            for i, g in enumerate(S.generators):
-                for _ in range(lhs_exps[i]):
-                    q = ring.exact_div(prod_res, g)
-                    if q is None:
-                        raise DescentInconsistencyError("descent inconsistency")
-                    prod_res = q
-                if rhs_exps[i]:
-                    raise DescentInconsistencyError("descent inconsistency")
         w = ring.exact_div(a0, ring.prod(residuals))
         if w is None or not ring.is_unit(w):
             raise DescentInconsistencyError("descent inconsistency")

@@ -38,4 +38,4 @@ class OracleViolationError(LocFactorError):
 
 
 class DescentInconsistencyError(OracleViolationError):
-    """Descent reconciliation failed; the localization oracle is broken."""
+    """A descended factorization does not multiply back; the localization oracle is broken."""

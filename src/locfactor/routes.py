@@ -127,6 +127,24 @@ class LaurentOracle(LocalizationOracle):
         return len(factor_laurent(value).factors) == 1
 
 
+def _descend_checked(f: Poly, S: GeneratedSubmonoid, oracle: LocalizationOracle) -> DescentResult:
+    """``descend_factor``, then one check of the localization-case factors
+    against the direct factorization of the stripped residue a0 (not of f:
+    the oracle has factored a0, so the check meets no new cap)."""
+    res = descend_factor(f, S, oracle)
+    pf = res.factorization
+    local = PrimeFactorization(
+        pf.unit, tuple(q for q, c in zip(pf.factors, res.certificates) if c.case == "localization")
+    )
+    direct = factor_poly_zx(S.strip(f)[1])
+    if check_factorization_unique(ZX, direct, local) is None:
+        raise OracleViolationError(
+            f"direct engine and the descent through {oracle.name} disagree: "
+            f"{_render_pf(ZX, direct)} vs {_render_pf(ZX, local)}"
+        )
+    return res
+
+
 def factor_zx_via_laurent(f: Poly) -> DescentResult:
     """Descend a Z[X] factorization from the Laurent ring.
 
@@ -135,7 +153,7 @@ def factor_zx_via_laurent(f: Poly) -> DescentResult:
     """
     with request_memo():
         S = powers_of_x_submonoid()
-        return descend_factor(f, S, LaurentOracle(S))
+        return _descend_checked(f, S, LaurentOracle(S))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +242,7 @@ def factor_zx_via_fraction_field(f: Poly) -> DescentResult:
     """Descend a Z[X] factorization from Q[X] through the constant primes."""
     with request_memo():
         S = fracfield_submonoid(f)
-        return descend_factor(f, S, ConstantPrimesOracle(S, OVER_Z, kronecker_factor))
+        return _descend_checked(f, S, ConstantPrimesOracle(S, OVER_Z, kronecker_factor))
 
 
 def iterated_submonoid(f: Poly) -> GeneratedSubmonoid:

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locfactor import routes
+from locfactor.basefactor import PrimeFactorization
 from locfactor.cli import main
 from locfactor.expr import parse_in_ring, render
-from locfactor.rings import ZX
+from locfactor.rings import LT, ZX
 from locfactor.selftest import kronecker_reference
 
 
@@ -207,6 +209,26 @@ class TestExitCodes:
         assert main(["factor", "(" * 3000 + "X" + ")" * 3000]) == 1
         assert capsys.readouterr().err == "error: parentheses nest deeper than 100 (at position 100)\n"
         assert main(["factor", "(" * 100 + "X+1" + ")" * 100]) == 0
+
+    def test_engine_that_merges_factors(self, capsys, monkeypatch):
+        """A Laurent engine that merges its first two factors passes its own
+        primality check, so the route's one check against the direct engine
+        is what catches it, and it exits 3 as a broken engine."""
+        original = routes.factor_laurent
+
+        def merging(f):
+            pf = original(f)
+            if len(pf.factors) < 2:
+                return pf
+            return PrimeFactorization(pf.unit, (LT.mul(*pf.factors[:2]),) + pf.factors[2:])
+
+        monkeypatch.setattr(routes, "factor_laurent", merging)
+        for command in (["factor", "--route", "laurent"], ["compare"]):
+            assert main(command + ["(X^2+1)*(X^2+2)"]) == 3
+            assert capsys.readouterr().err == (
+                "error: direct engine and the descent through Z[T,T^-1] factorization disagree: "
+                "unit 1; factors [X^2 + 1, X^2 + 2] vs unit 1; factors [X^4 + 3*X^2 + 2]\n"
+            )
 
 
 # the expression alphabet, a space and one non-ASCII decimal digit

@@ -127,3 +127,11 @@ def test_each_method_is_used():
         and node.name not in read
     ]
     assert unused == []
+
+
+def test_descent_layer_is_engine_free():
+    """The descent layer decides primality by Nagata's argument alone: it
+    strips generators and asks its localization oracle, never a base-ring
+    irreducibility test."""
+    source = (PACKAGE / "descent.py").read_text()
+    assert [name for name in ("is_irreducible", "_require_irreducible") if name in source] == []

@@ -116,8 +116,9 @@ class TestAssociateScan:
         assert find_associate_generator(s2, 3) is None
 
     def test_requires_irreducible(self, s2):
-        with pytest.raises(PreconditionError):
-            find_associate_generator(s2, 4)
+        for proper_multiple in (4, 6):
+            with pytest.raises(PreconditionError):
+                find_associate_generator(s2, proper_multiple)
 
     def test_avoids_examples(self, s2, sx):
         assert avoids(s2, 3)
@@ -126,7 +127,7 @@ class TestAssociateScan:
         assert avoids(sx, ZX.make([1, 0, 1]))
 
     def test_avoids_matches_brute_force(self, s23):
-        for p in (2, 3, 5, 7, -11, 13):
+        for p in (2, 3, 5, 7, -11, 13, 35, -77):  # 35 and -77: composites no generator divides
             assert avoids(s23, p) == brute_force_avoids(s23, p)
 
 

@@ -23,13 +23,14 @@ ENGINE_BODIES = ("_kronecker_factor_uncached", "_factor_poly_zx_uncached", "_fac
 
 
 def _count_worker(monkeypatch, body: str = "_kronecker_factor_uncached") -> list:
-    """Record every input of the uncached engine body ``body``."""
+    """Record every input (the last argument) of the ``basefactor`` function
+    ``body``, by default an uncached engine body."""
     seen = []
     worker = getattr(basefactor, body)
 
-    def counting(p):
-        seen.append(p)
-        return worker(p)
+    def counting(*args):
+        seen.append(args[-1])
+        return worker(*args)
 
     monkeypatch.setattr(basefactor, body, counting)
     return seen
@@ -153,6 +154,22 @@ def test_replay_reaches_every_engine_body_inside_an_open_memo(monkeypatch):
         seen = {body: _count_worker(monkeypatch, body) for body in ENGINE_BODIES}
         assert certs and all(cert.replay() for cert in certs)
     assert all(seen.values()), seen
+
+
+def test_replay_runs_only_its_oracle(monkeypatch):
+    """Replaying a localization certificate tests no irreducibility and runs
+    each engine body once per certificate, for its oracle's single call."""
+    res = factor_zx_via_laurent(expr.parse_in_ring("(X^2+1)*(X^2+2)*(X-3)", ZX))
+    certs = [c for c in res.certificates if c.case == "localization"]
+    seen = {body: _count_worker(monkeypatch, body) for body in ENGINE_BODIES + ("is_irreducible",)}
+    assert len(certs) == 3 and all(cert.replay() for cert in certs)
+    subjects = [c.subject for c in certs]
+    assert seen == {
+        "_kronecker_factor_uncached": subjects,
+        "_factor_poly_zx_uncached": subjects,
+        "_factor_bivariate_uncached": [],
+        "is_irreducible": [],
+    }
 
 
 def _seeded_inputs(count: int) -> list:
