@@ -113,15 +113,17 @@ class PrimalityCertificate:
 def certify_prime(
     p: Element, S: GeneratedSubmonoid, oracle: LocalizationOracle
 ) -> PrimalityCertificate:
-    """Decide primality of p by the generator/avoidance case split: zero, a
-    unit or a proper multiple of a generator is "not irreducible"; an
-    associate of a generator is prime; otherwise ask the oracle."""
+    """Decide primality of an irreducible p by the generator/avoidance case
+    split: zero, a unit or a proper multiple of a generator is "not
+    irreducible"; an associate of a generator is prime; otherwise ask the
+    oracle.  Irreducibility is the caller's precondition, not tested (no
+    base-ring engine): a denial means a broken oracle or a composite p."""
     hit = find_associate_generator(S, p)
     if hit is not None:
         i, u = hit
         return PrimalityCertificate(p, S, "generator", generator_index=i, unit=u)
     if not oracle.is_prime_embedded(p):
-        raise OracleViolationError("localization not UFD on this input")
+        raise OracleViolationError("localization not UFD on this input, or p is not irreducible")
     return PrimalityCertificate(p, S, "localization", oracle=oracle)
 
 

@@ -129,14 +129,14 @@ class LaurentOracle(LocalizationOracle):
 
 def _descend_checked(f: Poly, S: GeneratedSubmonoid, oracle: LocalizationOracle) -> DescentResult:
     """``descend_factor``, then one check of the localization-case factors
-    against the direct factorization of the stripped residue a0 (not of f:
-    the oracle has factored a0, so the check meets no new cap)."""
+    against the direct factorization of their value, the stripped residue a0
+    (not of f: the oracle has factored a0, so the check meets no new cap)."""
     res = descend_factor(f, S, oracle)
     pf = res.factorization
     local = PrimeFactorization(
         pf.unit, tuple(q for q, c in zip(pf.factors, res.certificates) if c.case == "localization")
     )
-    direct = factor_poly_zx(S.strip(f)[1])
+    direct = factor_poly_zx(local.value(ZX))
     if check_factorization_unique(ZX, direct, local) is None:
         raise OracleViolationError(
             f"direct engine and the descent through {oracle.name} disagree: "
@@ -177,11 +177,12 @@ class ConstantPrimesOracle(LocalizationOracle):
 
     A primitive polynomial factors the same way over R and over Frac(R), and
     divides an element of R[Y] over Frac(R) exactly when it does over R; the
-    content is a unit of Frac(R)[Y].  So ``engine``, the R[Y] factorizer of
-    primitive polynomials, answers for Frac(R)[Y], the prime fractions need
-    no denominators, and divisibility needs only exact division in R[Y].  The
-    engine is passed in rather than captured, so a caller that rebinds it by
-    name is seen here too.
+    content is a unit of Frac(R)[Y], and of S^-1 R[Y] only if it strips to
+    one.  So ``engine``, the R[Y] factorizer of primitive polynomials,
+    answers for Frac(R)[Y], the prime fractions need no denominators, and
+    divisibility needs only exact division in R[Y].  The engine is passed in
+    rather than captured, so a caller that rebinds it by name is seen here
+    too.
     """
 
     def __init__(self, S: GeneratedSubmonoid, R: CoefficientRing, engine):
@@ -213,11 +214,15 @@ class ConstantPrimesOracle(LocalizationOracle):
         return (S.member(exps), cleared)  # s.value * y == x * cleared
 
     def is_prime_embedded(self, r: Element) -> bool:
-        if self.S.ring.is_zero(r):
+        ring = self.S.ring
+        if ring.is_zero(r):
             return False
-        _, prim = self.R.primitive(r)
+        c, prim = self.R.primitive(r)
         if len(prim.coeffs) <= 1:
             return False  # constants are units over the fraction field
+        _, rest = self.S.strip(ring.constant(c))
+        if not ring.is_unit(rest):
+            return False  # a content prime outside S stays a factor in S^-1 R[Y]
         return len(self.engine(prim).factors) == 1
 
 

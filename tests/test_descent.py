@@ -4,7 +4,13 @@ diagnostics."""
 
 import pytest
 
-from locfactor.basefactor import check_factorization_unique, factor_integer, factor_poly_zx, kronecker_factor
+from locfactor.basefactor import (
+    check_factorization_unique,
+    factor_bivariate,
+    factor_integer,
+    factor_poly_zx,
+    kronecker_factor,
+)
 from locfactor.descent import (
     BaseEngineOracle,
     LocalizationOracle,
@@ -18,8 +24,8 @@ from locfactor.errors import (
     PreconditionError,
 )
 from locfactor.localization import Fraction, GeneratedSubmonoid, embed
-from locfactor.rings import ZX, ZZ
-from locfactor.routes import OVER_Z, ConstantPrimesOracle, LaurentOracle, powers_of_x_submonoid
+from locfactor.rings import ZX, ZXY, ZZ
+from locfactor.routes import OVER_Z, OVER_ZX, ConstantPrimesOracle, LaurentOracle, powers_of_x_submonoid
 
 
 @pytest.fixture
@@ -66,6 +72,32 @@ class TestCertifyPrime:
 
         with pytest.raises(OracleViolationError, match="localization not UFD"):
             certify_prime(3, s2, Denier())
+
+    def test_composite_subject_no_generator_divides(self, s2):
+        """No engine tests the subject: a composite that no generator divides
+        is refused by the oracle's denial, with the error naming both causes."""
+        with pytest.raises(OracleViolationError, match="or p is not irreducible"):
+            certify_prime(9, s2, BaseEngineOracle(s2, factor_integer))
+        sx = powers_of_x_submonoid()
+        with pytest.raises(OracleViolationError, match="or p is not irreducible"):
+            certify_prime(ZX.make([2, 0, 2]), sx, LaurentOracle(sx))  # 2*X^2 + 2
+
+    def test_content_outside_the_submonoid_is_not_prime(self):
+        """3*X + 3 is not prime in Z[1/2][X], nor X*Y in Z[X][1/2][Y]: the
+        constant-primes oracle refuses both, and certifies X + 1 and Y."""
+        S = GeneratedSubmonoid(ZX, [ZX.from_int(2)])
+        oracle = ConstantPrimesOracle(S, OVER_Z, kronecker_factor)
+        assert not oracle.is_prime_embedded(ZX.make([3, 3]))
+        with pytest.raises(OracleViolationError):
+            certify_prime(ZX.make([3, 3]), S, oracle)
+        assert certify_prime(ZX.make([1, 1]), S, oracle).replay()
+        SY = GeneratedSubmonoid(ZXY, [ZXY.constant(ZX.from_int(2))])
+        oracle_y = ConstantPrimesOracle(SY, OVER_ZX, factor_bivariate)
+        xy = ZXY.make([ZX.zero, ZX.gen])
+        assert not oracle_y.is_prime_embedded(xy)
+        with pytest.raises(OracleViolationError):
+            certify_prime(xy, SY, oracle_y)
+        assert certify_prime(ZXY.gen, SY, oracle_y).replay()
 
     def test_replay_detects_tampering(self, s2):
         from locfactor.descent import PrimalityCertificate
