@@ -36,7 +36,6 @@ from .descent import (
     PrimalityCertificate,
     certify_prime,
     descend_factor,
-    normalize_numerator,
 )
 from .errors import (
     DescentInconsistencyError,

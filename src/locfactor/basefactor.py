@@ -34,7 +34,6 @@ from typing import Callable, Optional
 
 from .errors import DeskScaleError, MathDomainError, OracleViolationError, PreconditionError
 from .rings import (
-    LT,
     ZX,
     ZXY,
     ZZ,
@@ -264,15 +263,6 @@ def _trim(a: list[int]) -> list[int]:
 
 def _reduce(a: list[int], m: int) -> list[int]:
     return _trim([c % m for c in a])
-
-
-def _zx_primitive(a: list[int]) -> list[int]:
-    c = 0
-    for x in a:
-        c = math.gcd(c, x)
-    if a[-1] < 0:
-        c = -c
-    return [x // c for x in a]
 
 
 def _mul_acc(acc: list[int], a: list[int], b: list[int]) -> list[int]:
@@ -617,7 +607,7 @@ def _recombine(f: list[int], lifted: list[list[int]], mod: int) -> Optional[list
             g = [lead]
             for i in subset:
                 g = _mul_mod(g, lifted[i], mod)
-            g = _zx_primitive([c - mod if c > half else c for c in g])
+            g = poly_primitive(Poly([c - mod if c > half else c for c in g]))[1].coeffs
             q = zx_exact_div_coeffs(f, g)
             if q is not None:
                 found.append(g)
@@ -647,7 +637,7 @@ def _factor_squarefree(f: list[int]) -> list[list[int]]:
         root = math.isqrt(disc) if disc > 0 else 0
         if root * root != disc:
             return [f]
-        g = _zx_primitive([b - root, 2 * a])
+        g = poly_primitive(Poly([b - root, 2 * a]))[1].coeffs
         return [g, zx_exact_div_coeffs(f, g)]
     best = None
     good = 0
@@ -924,9 +914,6 @@ def is_irreducible(ring: Ring, a: Element) -> bool:
     engine = _engine_for(ring)
     if engine is not None:
         return len(engine(a).factors) == 1
-    if ring == LT:
-        # T powers are units, so irreducibility reduces to the body over Z[X]
-        return is_irreducible(ZX, a.body)
     raise MathDomainError(f"no irreducibility oracle for {ring.name}")
 
 

@@ -69,44 +69,42 @@ def run_factor(ring: Ring, element, route: str) -> FactorOutcome:
     polynomial is factored by the Z[X] engine once.
     """
     t0 = time.perf_counter()
+    certs = None
     with request_memo():
         if ring == ZZ:
             if route not in ("auto", "direct"):
                 raise UsageError(f"route {route!r} is not available for integers")
-            out = FactorOutcome(ring, "direct", factor_integer(element), None, 0.0)
+            route, pf = "direct", factor_integer(element)
         elif ring == ZX:
             if route in ("auto", "fracfield"):
-                res = factor_zx_via_fraction_field(element)
-                out = FactorOutcome(ring, "fracfield", res.factorization, res.certificates, 0.0)
+                route, res = "fracfield", factor_zx_via_fraction_field(element)
+                pf, certs = res.factorization, res.certificates
             elif route == "laurent":
                 res = factor_zx_via_laurent(element)
-                out = FactorOutcome(ring, "laurent", res.factorization, res.certificates, 0.0)
+                pf, certs = res.factorization, res.certificates
             else:
-                out = FactorOutcome(ring, "direct", factor_poly_zx(element), None, 0.0)
+                route, pf = "direct", factor_poly_zx(element)
         elif ring == LT:
             if route == "fracfield":
                 raise UsageError("route 'fracfield' is not available for Laurent input")
-            pf = factor_laurent(element)
-            out = FactorOutcome(ring, "laurent", pf, laurent_certificates(pf), 0.0)
+            route, pf = "laurent", factor_laurent(element)
+            certs = laurent_certificates(pf)
         elif ring == ZXY:
             if route in ("auto", "fracfield"):
-                res = factor_iterated(element)
-                out = FactorOutcome(ring, "iterated", res.factorization, res.certificates, 0.0)
+                route, res = "iterated", factor_iterated(element)
+                pf, certs = res.factorization, res.certificates
             elif route == "direct":
-                out = FactorOutcome(ring, "direct", factor_bivariate(element), None, 0.0)
+                pf = factor_bivariate(element)
             else:
                 raise UsageError(f"route {route!r} is not available for bivariate input")
         else:
             raise UsageError(f"cannot factor over {ring.name}")
     elapsed = time.perf_counter() - t0
-    pf = out.factorization
-    # the rendered report must re-parse to the factored element
-    check = expr.parse_in_ring(expr.render(ring, pf.unit), ring)
-    for q in pf.factors:
-        check = ring.mul(check, expr.parse_in_ring(expr.render(ring, q), ring))
-    if not ring.eq(check, ring.mul(pf.unit, ring.prod(pf.factors))):
-        raise OracleViolationError("rendered factorization does not re-parse to the input")
-    return FactorOutcome(out.ring, out.route, out.factorization, out.certificates, elapsed)
+    # every printed piece must re-parse to exactly itself
+    for piece in (pf.unit, *pf.factors):
+        if not ring.eq(expr.parse_in_ring(expr.render(ring, piece), ring), piece):
+            raise OracleViolationError("rendered factorization does not re-parse to the input")
+    return FactorOutcome(ring, route, pf, certs, elapsed)
 
 
 def _grouped_factors(ring: Ring, outcome: FactorOutcome):

@@ -30,7 +30,6 @@ from .errors import (
     DescentInconsistencyError,
     MathDomainError,
     OracleViolationError,
-    PreconditionError,
 )
 from .localization import (
     Fraction,
@@ -41,7 +40,6 @@ from .localization import (
     frac_eq,
     frac_is_unit,
     frac_mul,
-    witness_multiset,
 )
 from .rings import Element
 
@@ -125,18 +123,6 @@ def certify_prime(
     if not oracle.is_prime_embedded(p):
         raise OracleViolationError("localization not UFD on this input, or p is not irreducible")
     return PrimalityCertificate(p, S, "localization", oracle=oracle)
-
-
-def normalize_numerator(x: Fraction, S: GeneratedSubmonoid) -> tuple[Element, tuple]:
-    """Strip generator primes out of a fraction's numerator.
-
-    Returns the residual (divisible by no generator) and the stripped prime
-    multiset; residual * prod(multiset) == x.num exactly.
-    """
-    if S.ring.is_zero(x.num):
-        raise PreconditionError("zero numerator")
-    exps, r = S.strip(x.num)
-    return r, witness_multiset(S.member(exps))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ in all.
 from __future__ import annotations
 
 from .errors import DeskScaleError, ParseError
-from .rings import LT, ZX, ZXY, ZZ, Element, Laurent, Poly, Ring
+from .rings import LT, ZX, ZXY, ZZ, Element, Poly, Ring
 
 _VARS = ("X", "Y", "T")
 
@@ -62,10 +62,10 @@ DENSE_TERMS_CAP = 256
 # million) took 0.47 s to evaluate before the engine refused its degree.
 # Evaluating a product also builds its partial products, so those count
 # too: a sum of 1,000 copies of a product of 255 X's (32.9 million) took
-# 2.5 s to evaluate, and its refusal now takes the 0.65 s that tokenizing
-# and parsing its 509,999 characters take.  The tests, golden files, selftest
-# and benchmark corpora (seeds 1-10) stay within a total of 6,000 (a
-# difference of 3,000 X's).
+# 2.5 s to evaluate, and its refusal now takes the ~0.5 s (best of 15 runs)
+# that tokenizing, parsing and one walk over its 509,999 characters take.
+# The tests, golden files, selftest and benchmark corpora (seeds 1-10) stay
+# within a total of 6,000 (a difference of 3,000 X's).
 DENSE_BITS_CAP = 2**18
 
 
@@ -210,25 +210,13 @@ def _parse(text: str) -> tuple[object, set]:
     return _Parser(tokens).parse(), variables
 
 
-def _exponent_reach(node) -> int:
-    """The largest product of exponents along a chain of nested powers: how
-    many times over evaluation can multiply a literal or a variable."""
-    op = node[0]
-    if op == "pow":
-        return _exponent_reach(node[1]) * max(abs(node[2]), 1)
-    if op == "neg":
-        return _exponent_reach(node[1])
-    if op in ("sum", "mul"):
-        return max(_exponent_reach(c) for c in node[1])
-    return 1
-
-
-def _size_reach(node) -> tuple[int, int, int, int]:
+def _size_reach(node) -> tuple[int, int, int, int, int]:
     """Upper bounds on the X- and Y-degrees and on log2 of the 1-norm of
-    every value evaluating node builds, and the total dense size of the
-    terms its sums add up.  Degrees: sums take the larger, products add,
-    powers multiply.  Bits: a literal gives its bit length, a sum the largest
-    of its terms plus one bit per '+', products add and powers multiply.
+    every value evaluating node builds, the total dense size of the terms
+    its sums add up, and the largest product of exponents along a chain of
+    nested powers.  Degrees: sums take the larger, products add, powers
+    multiply.  Bits: a literal gives its bit length, a sum the largest of its
+    terms plus one bit per '+', products add and powers multiply.
     Evaluation builds each term of every sum and each partial product of
     every product, so the total charges each term its dense size
     (deg_X + 1) * (deg_Y + 1) * bits, with at least one bit, and each
@@ -237,27 +225,29 @@ def _size_reach(node) -> tuple[int, int, int, int]:
     its evaluation does."""
     op = node[0]
     if op == "int":
-        return (0, 0, abs(node[1]).bit_length(), 0)
+        return (0, 0, abs(node[1]).bit_length(), 0, 1)
     if op == "var":
-        return (int(node[1] == "X"), int(node[1] == "Y"), 0, 0)
+        return (int(node[1] == "X"), int(node[1] == "Y"), 0, 0, 1)
     if op == "neg":
         return _size_reach(node[1])
     if op in ("sum", "mul"):
         reach = [_size_reach(c) for c in node[1]]
         summed = sum(r[3] for r in reach)
+        power = max(r[4] for r in reach)
         if op == "sum":
             summed += sum((r[0] + 1) * (r[1] + 1) * max(r[2], 1) for r in reach)
             return (max(r[0] for r in reach), max(r[1] for r in reach),
-                    max(r[2] for r in reach) + len(reach) - 1, summed)
+                    max(r[2] for r in reach) + len(reach) - 1, summed, power)
         dx, dy = reach[0][:2]
         for r in reach[1:-1]:
             dx, dy = dx + r[0], dy + r[1]
             summed += (dx + 1) * (dy + 1)
-        return (*(sum(r[k] for r in reach) for k in range(3)), summed)
+        return (*(sum(r[k] for r in reach) for k in range(3)), summed, power)
     if op == "pow":
-        e = max(node[2], 1)  # x^0 still evaluates x; T is the only negative base
-        dx, dy, bits, summed = _size_reach(node[1])
-        return (dx * e, dy * e, bits * e, summed)
+        # x^0 still evaluates x; only T takes a negative power, and T has size 0
+        e = max(abs(node[2]), 1)
+        dx, dy, bits, summed, power = _size_reach(node[1])
+        return (dx * e, dy * e, bits * e, summed, power * e)
     raise ParseError(f"unknown node {op!r}")
 
 
@@ -308,13 +298,12 @@ def parse_expr(text: str) -> tuple[Ring, Element]:
     """Parse an expression and infer its ring from the variables used."""
     ast, variables = _parse(text)
     ring = _infer_ring(variables)
-    reach = _exponent_reach(ast)
-    if reach > EXPONENT_CAP:
+    dx, dy, bits, summed, power = _size_reach(ast)
+    if power > EXPONENT_CAP:
         raise DeskScaleError(
-            f"desk-scale limit: exponent {reach} exceeds {EXPONENT_CAP} "
+            f"desk-scale limit: exponent {power} exceeds {EXPONENT_CAP} "
             "(nested exponents multiply)"
         )
-    dx, dy, bits, summed = _size_reach(ast)
     terms = (dx + 1) * (dy + 1)
     if terms > DENSE_TERMS_CAP:
         raise DeskScaleError(
@@ -379,30 +368,15 @@ def _scalar_term(c, var: str, k: int) -> tuple[bool, str]:
     return negative, f"{mag}*{_power_str(var, k)}"
 
 
-def _render_scalar_poly(p: Poly, var: str) -> str:
+def _render_scalar_poly(p: Poly, var: str, low: int = 0) -> str:
+    """The terms c*var^(low + k) of p, highest first; low shifts the powers
+    of a Laurent element's body."""
     terms = []
     for k in range(len(p.coeffs) - 1, -1, -1):
         c = p.coeffs[k]
         if c == 0:
             continue
-        terms.append(_scalar_term(c, var, k))
-    return _join_terms(terms)
-
-
-def _render_laurent(a: Laurent) -> str:
-    terms = []
-    for i in range(len(a.body.coeffs) - 1, -1, -1):
-        c = a.body.coeffs[i]
-        if c == 0:
-            continue
-        e = a.low + i
-        if e == 0:
-            terms.append(_scalar_term(c, "T", 0))
-        else:
-            negative = c < 0
-            mag = -c if negative else c
-            body = _power_str("T", e) if mag == 1 else f"{mag}*{_power_str('T', e)}"
-            terms.append((negative, body))
+        terms.append(_scalar_term(c, var, low + k))
     return _join_terms(terms)
 
 
@@ -444,7 +418,7 @@ def render(ring: Ring, a: Element) -> str:
     if ring == ZX:
         return _render_scalar_poly(a, ring.var)
     if ring == LT:
-        return _render_laurent(a)
+        return _render_scalar_poly(a.body, "T", a.low)
     if ring == ZXY:
         return _render_bivariate(a)
     return repr(a)

@@ -30,7 +30,7 @@ from locfactor.basefactor import (
     kronecker_factor,
 )
 from locfactor.errors import DeskScaleError, MathDomainError, PreconditionError
-from locfactor.rings import ZX, ZXY, ZZ, PolynomialRing, poly_content, poly_primitive
+from locfactor.rings import LT, ZX, ZXY, ZZ, PolynomialRing, poly_content, poly_primitive
 from locfactor.selftest import kronecker_reference, rand_zx
 
 
@@ -318,6 +318,9 @@ class TestIrreducibilityOracles:
         with pytest.raises(MathDomainError):
             is_irreducible(zy, zy.make([1, 2]))
         assert not is_irreducible(zy, zy.make([-1]))  # a unit, decided without an engine
+        # the Laurent ring is factored by its descent route, not by an engine
+        with pytest.raises(MathDomainError, match="no irreducibility oracle"):
+            is_irreducible(LT, LT.make(0, [1, 0, 1]))  # T^2 + 1
 
 
 class TestLiftingPrecision:

@@ -230,6 +230,24 @@ class TestExitCodes:
                 "unit 1; factors [X^2 + 1, X^2 + 2] vs unit 1; factors [X^4 + 3*X^2 + 2]\n"
             )
 
+    def test_renderer_that_moves_a_sign(self, capsys, monkeypatch):
+        """A renderer that negates the unit 1 and the factor X - 1 keeps the
+        product of the printed pieces, so only a round trip of each printed
+        piece catches it."""
+        from locfactor import expr
+
+        original = expr.render
+        moved = {ZX.one: "-1", ZX.make([-1, 1]): "-X + 1"}
+
+        def sign_moving(ring, a):
+            return moved.get(a, original(ring, a)) if ring == ZX else original(ring, a)
+
+        monkeypatch.setattr(expr, "render", sign_moving)
+        assert main(["factor", "--route", "direct", "--", "(X-1)*(X+2)"]) == 3
+        assert capsys.readouterr() == (
+            "", "error: rendered factorization does not re-parse to the input\n"
+        )
+
 
 # the expression alphabet, a space and one non-ASCII decimal digit
 _FUZZ_ALPHABET = "0123456789XYT+-*^() \u0663"

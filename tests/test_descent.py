@@ -1,6 +1,5 @@
-"""Descent layer: the case-split decision procedure, certificates, numerator
-normalization, and the descent factorizer, including broken-oracle
-diagnostics."""
+"""Descent layer: the case-split decision procedure, certificates, and the
+descent factorizer, including broken-oracle diagnostics."""
 
 import pytest
 
@@ -16,14 +15,13 @@ from locfactor.descent import (
     LocalizationOracle,
     certify_prime,
     descend_factor,
-    normalize_numerator,
 )
 from locfactor.errors import (
     DescentInconsistencyError,
     OracleViolationError,
     PreconditionError,
 )
-from locfactor.localization import Fraction, GeneratedSubmonoid, embed
+from locfactor.localization import GeneratedSubmonoid, embed
 from locfactor.rings import ZX, ZXY, ZZ
 from locfactor.routes import OVER_Z, OVER_ZX, ConstantPrimesOracle, LaurentOracle, powers_of_x_submonoid
 
@@ -104,21 +102,6 @@ class TestCertifyPrime:
 
         bad = PrimalityCertificate(3, s2, "generator", generator_index=0, unit=1)
         assert not bad.replay()  # 3 is not 1 * 2
-
-
-class TestNormalizeNumerator:
-    def test_examples(self):
-        S = GeneratedSubmonoid(ZX, [ZX.from_int(2)])
-        r, stripped = normalize_numerator(embed(ZX.make([2, 2]), S), S)
-        assert r == ZX.make([1, 1]) and stripped == (ZX.from_int(2),)
-        r, stripped = normalize_numerator(Fraction(ZX.from_int(3), S.member((1,))), S)
-        assert r == ZX.from_int(3) and stripped == ()
-        r, stripped = normalize_numerator(embed(ZX.from_int(8), S), S)
-        assert r == ZX.one and stripped == (ZX.from_int(2),) * 3
-
-    def test_zero_rejected(self, s2):
-        with pytest.raises(PreconditionError):
-            normalize_numerator(embed(0, s2), s2)
 
 
 class TestDescendFactor:

@@ -87,6 +87,8 @@ class TestParseErrors:
         for bad in (f"X^{EXPONENT_CAP + 1}", f"T^-{EXPONENT_CAP + 1}", "1-(X^10)^11", "2*((X+1)^5)^21"):
             with pytest.raises(DeskScaleError, match="exponent"):
                 parse_expr(bad)
+        # nested exponents multiply along the chain: 5 * 21
+        assert _size_reach(_parse("2*((X+1)^5)^21")[0])[4] == 105
         # rendered engine output is re-read without the cap
         assert parse_in_ring("-T^-150", LT) == LT.t_power(-150, -1)
 
@@ -136,6 +138,7 @@ class TestRendering:
         assert render(ZX, ZX.make([-1, 0, 1])) == "X^2 - 1"
         assert render(ZX, ZX.make([0, 12])) == "12*X"
         assert render(LT, LT.make(-1, [1, 0, 1])) == "T + T^-1"
+        assert render(LT, LT.make(-2, [-3, 1, 0, 5])) == "5*T + T^-1 - 3*T^-2"
         assert render(ZZ, -8) == "-8"
         assert render(ZX, ZX.zero) == "0"
         assert render(ZXY, ZXY.make([ZX.make([-2, -2]), ZX.make([1, 1])])) == "(X + 1)*Y - 2*X - 2"
