@@ -12,8 +12,9 @@ The package is organized bottom-up:
 * ``localization`` -- prime-generated submonoids, fractions, transfer algorithms
 * ``descent``      -- primality certificates and the descent factorizer
 * ``routes``       -- Laurent / fraction-field / bivariate routes; the Laurent
-                      oracle, and one constant-primes oracle serving both
-                      Z[X] and Z[X][Y], realized by Gauss's lemma on R[Y]
+                      oracle, computed in Z[X], and one constant-primes oracle
+                      serving both Z[X] and Z[X][Y], realized by Gauss's
+                      lemma on R[Y]
 * ``expr``         -- expression parsing and rendering
 * ``selftest``     -- seeded randomized property suites
 * ``cli``          -- the ``locfactor`` command

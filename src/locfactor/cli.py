@@ -60,6 +60,19 @@ class FactorOutcome:
     factorization: PrimeFactorization
     certificates: Optional[tuple]
     elapsed: float
+    texts: dict  # the printed text of the unit and of each distinct factor
+
+
+def _rendered(ring: Ring, elements) -> dict:
+    """Render each distinct element once; each text must re-parse to exactly
+    its element, so what is printed is what was computed."""
+    texts: dict = {}
+    for a in elements:
+        if a not in texts:
+            texts[a] = expr.render(ring, a)
+            if not ring.eq(expr.parse_in_ring(texts[a], ring), a):
+                raise OracleViolationError("rendered factorization does not re-parse to the input")
+    return texts
 
 
 def run_factor(ring: Ring, element, route: str) -> FactorOutcome:
@@ -100,66 +113,54 @@ def run_factor(ring: Ring, element, route: str) -> FactorOutcome:
         else:
             raise UsageError(f"cannot factor over {ring.name}")
     elapsed = time.perf_counter() - t0
-    # every printed piece must re-parse to exactly itself
-    for piece in (pf.unit, *pf.factors):
-        if not ring.eq(expr.parse_in_ring(expr.render(ring, piece), ring), piece):
-            raise OracleViolationError("rendered factorization does not re-parse to the input")
-    return FactorOutcome(ring, route, pf, certs, elapsed)
+    return FactorOutcome(ring, route, pf, certs, elapsed, _rendered(ring, (pf.unit, *pf.factors)))
 
 
-def _grouped_factors(ring: Ring, outcome: FactorOutcome):
-    """Aggregate equal factors into (expr, multiplicity, certificate) rows."""
-    rows = []
-    for i, q in enumerate(outcome.factorization.factors):
-        cert = outcome.certificates[i] if outcome.certificates else None
-        for row in rows:
-            if ring.eq(row[0], q):
-                row[1] += 1
-                break
-        else:
-            rows.append([q, 1, cert])
-    return rows
+def _grouped_factors(outcome: FactorOutcome):
+    """(text, multiplicity, certificate) rows, one per distinct factor, in
+    the order of first appearance, with the first factor's certificate."""
+    rows: dict = {}
+    pf = outcome.factorization
+    for q, cert in zip(pf.factors, outcome.certificates or (None,) * len(pf.factors)):
+        mult, first = rows.get(q, (0, cert))
+        rows[q] = (mult + 1, first)
+    return [(outcome.texts[q], mult, cert) for q, (mult, cert) in rows.items()]
 
 
 def _factor_json(outcome: FactorOutcome, text: str) -> str:
-    ring = outcome.ring
-    factors = []
-    for q, mult, cert in _grouped_factors(ring, outcome):
-        factors.append(
-            {
-                "expr": expr.render(ring, q),
-                "multiplicity": mult,
-                "certificate": None
-                if cert is None
-                else {"case": cert.case, "detail": cert.detail()},
-            }
-        )
+    factors = [
+        {
+            "expr": q,
+            "multiplicity": mult,
+            "certificate": None if cert is None else {"case": cert.case, "detail": cert.detail()},
+        }
+        for q, mult, cert in _grouped_factors(outcome)
+    ]
     doc = {
         "version": JSON_SCHEMA_VERSION,
         "input": text,
-        "ring": ring.name,
+        "ring": outcome.ring.name,
         "route": outcome.route,
-        "unit": expr.render(ring, outcome.factorization.unit),
+        "unit": outcome.texts[outcome.factorization.unit],
         "factors": factors,
     }
     return json.dumps(doc, separators=(",", ":"))
 
 
 def _factor_text(outcome: FactorOutcome, text: str, verbose: bool) -> str:
-    ring = outcome.ring
     lines = [
         f"input: {text}",
-        f"ring: {ring.name}",
+        f"ring: {outcome.ring.name}",
         f"route: {outcome.route}",
-        f"unit: {expr.render(ring, outcome.factorization.unit)}",
+        f"unit: {outcome.texts[outcome.factorization.unit]}",
         "factors:",
     ]
-    rows = _grouped_factors(ring, outcome)
+    rows = _grouped_factors(outcome)
     if not rows:
         lines.append("  (none; the input is a unit)")
     for q, mult, cert in rows:
         tail = "" if cert is None else f"  [{cert.case}: {cert.detail()}]"
-        lines.append(f"  {expr.render(ring, q)}  (multiplicity {mult}){tail}")
+        lines.append(f"  {q}  (multiplicity {mult}){tail}")
     if verbose:
         lines.append(f"elapsed: {outcome.elapsed:.6f}s")
         if outcome.certificates:
@@ -180,13 +181,11 @@ def _cert_summary(certificates) -> str:
 
 def _compare_text(report, text: str, verbose: bool) -> str:
     lines = [f"input: {text}", "ring: Z[X]"]
-    for run in report.runs:
-        pf = run.factorization
-        rendered = ", ".join(expr.render(ZX, q) for q in pf.factors)
-        lines.append(
-            f"{run.route}: unit {expr.render(ZX, pf.unit)}; "
-            f"factors [{rendered}]{_cert_summary(run.certificates)}"
-        )
+    pfs = [run.factorization for run in report.runs]
+    texts = _rendered(ZX, (a for pf in pfs for a in (pf.unit, *pf.factors)))
+    for run, pf in zip(report.runs, pfs):
+        factors = ", ".join(texts[q] for q in pf.factors)
+        lines.append(f"{run.route}: unit {texts[pf.unit]}; factors [{factors}]{_cert_summary(run.certificates)}")
     lines.append("agreement: " + ", ".join(f"{a} ~ {b}" for a, b in report.agreements))
     if verbose:
         for run in report.runs:
@@ -194,10 +193,11 @@ def _compare_text(report, text: str, verbose: bool) -> str:
     return "\n".join(lines)
 
 
-def _iter_inputs(args) -> list[str]:
+def _iter_inputs(args):
+    """The expression argument, or each nonblank stdin line as it is read."""
     if args.expr is not None:
-        return [args.expr]
-    return [line.strip() for line in sys.stdin if line.strip()]
+        return (args.expr,)
+    return (line.strip() for line in sys.stdin if line.strip())
 
 
 def _factor_one(args, text: str) -> str:
@@ -225,9 +225,8 @@ def _run_inputs(args, one, separate: bool) -> int:
     batch = args.expr is None
     for text in _iter_inputs(args):
         try:
-            print(one(args, text))
-            if batch and separate:
-                print()
+            # batch reports are flushed, so a caller on a pipe sees each one at once
+            print(one(args, text) + ("\n" if batch and separate else ""), flush=batch)
         except (UsageError, LocFactorError) as e:
             code = _exit_code_for(e)
             print(f"error: {e}", file=sys.stderr)

@@ -15,11 +15,12 @@ none -> Z, {X} -> Z[X], {T} -> the Laurent ring, {Y} or {X, Y} -> Z[X][Y].
 T cannot be mixed with X or Y.  The renderer produces strings this grammar
 accepts, so parse(render(e)) == e for every engine-produced element.
 
-Sums and products parse to flat lists, so only parentheses deepen the tree;
-they may nest ``NESTING_DEPTH_CAP`` deep, and an integer literal may have
-``LITERAL_DIGITS_CAP`` digits.  Before it evaluates anything, ``parse_expr``
-refuses input whose powers, multiplied through their nesting, exceed
-``EXPONENT_CAP``, input whose values could need more than
+Text longer than ``INPUT_LENGTH_CAP`` characters is refused before it is
+read.  Sums and products parse to flat lists, so only parentheses deepen the
+tree; they may nest ``NESTING_DEPTH_CAP`` deep, and an integer literal may
+have ``LITERAL_DIGITS_CAP`` digits.  Before it evaluates anything,
+``parse_expr`` refuses input whose powers, multiplied through their nesting,
+exceed ``EXPONENT_CAP``, input whose values could need more than
 ``DENSE_TERMS_CAP`` dense coefficients, input whose values could need
 more than ``DENSE_BITS_CAP`` bits in dense coefficients, and input whose sums
 and products build terms and partial products that could need more than that
@@ -32,6 +33,14 @@ from .errors import DeskScaleError, ParseError
 from .rings import LT, ZX, ZXY, ZZ, Element, Poly, Ring
 
 _VARS = ("X", "Y", "T")
+
+# Tokenizing, parsing and walking the syntax tree cost time and memory in
+# proportion to the text, before any other cap applies: a 5,000,001-character
+# product of X's took 9.3 s and 716 MiB to refuse.  At the cap no input took
+# over 0.25 s or 35 MiB (CPython 3.11, one core of a 2-vCPU guest).  The tests,
+# golden files, selftest and benchmark corpora stay within 6,001 characters
+# (182 in the benchmark corpora, seeds 1-10), far below the cap.
+INPUT_LENGTH_CAP = 100_000
 
 # Parsing and evaluation recurse once per parenthesis level, so the cap keeps
 # both far inside Python's default recursion limit.
@@ -62,8 +71,7 @@ DENSE_TERMS_CAP = 256
 # million) took 0.47 s to evaluate before the engine refused its degree.
 # Evaluating a product also builds its partial products, so those count
 # too: a sum of 1,000 copies of a product of 255 X's (32.9 million) took
-# 2.5 s to evaluate, and its refusal now takes the ~0.5 s (best of 15 runs)
-# that tokenizing, parsing and one walk over its 509,999 characters take.
+# 2.5 s to evaluate; a sum of 9 copies (296,037) is refused before evaluation.
 # The tests, golden files, selftest and benchmark corpora (seeds 1-10) stay
 # within a total of 6,000 (a difference of 3,000 X's).
 DENSE_BITS_CAP = 2**18
@@ -296,6 +304,10 @@ def _env_for(ring: Ring) -> dict:
 
 def parse_expr(text: str) -> tuple[Ring, Element]:
     """Parse an expression and infer its ring from the variables used."""
+    if len(text) > INPUT_LENGTH_CAP:
+        raise DeskScaleError(
+            f"desk-scale limit: input of {len(text)} characters exceeds {INPUT_LENGTH_CAP}"
+        )
     ast, variables = _parse(text)
     ring = _infer_ring(variables)
     dx, dy, bits, summed, power = _size_reach(ast)

@@ -4,8 +4,8 @@ Three structurally different ways to factor over Z[X], cross-checked against
 each other:
 
 * direct        -- ``factor_poly_zx`` (content + Zassenhaus), no localization
-* laurent       -- localize at the powers of X; the Laurent ring factorizer is
-                   the oracle and the descent layer pulls factors back
+* laurent       -- localize at the powers of X, the Laurent ring, computed in
+                   Z[X]; the descent layer pulls factors back
 * fraction field-- localize at the constant primes that actually occur
                    and compare with Q[X]
 
@@ -37,7 +37,7 @@ from .basefactor import (
     kronecker_factor,
     request_memo,
 )
-from .descent import DescentResult, LocalizationOracle, certify_prime, descend_factor
+from .descent import BaseEngineOracle, DescentResult, LocalizationOracle, certify_prime, descend_factor
 from .errors import MathDomainError, OracleViolationError
 from .localization import Fraction, GeneratedSubmonoid, SMember
 from .rings import (
@@ -85,46 +85,22 @@ def powers_of_x_submonoid() -> GeneratedSubmonoid:
     return GeneratedSubmonoid(ZX, [ZX.gen])
 
 
-class LaurentOracle(LocalizationOracle):
-    """Localization of Z[X] at the powers of X, realized by the Laurent engine."""
+class LaurentOracle(BaseEngineOracle):
+    """Localization of Z[X] at the powers of X, the Laurent ring, computed in
+    Z[X] by the base-engine oracle: X is a unit there, so X^m * q factors and
+    divides as q does, and q with q(0) != 0 is prime there exactly when it is
+    prime in Z[X].  ``engine`` is the Z[X] factorizer, passed in as for
+    ``ConstantPrimesOracle``."""
 
     name = "Z[T,T^-1] factorization"
 
-    def __init__(self, S: GeneratedSubmonoid):
-        self.S = S
+    def __init__(self, S: GeneratedSubmonoid, engine):
+        self.S, self.engine = S, engine  # the base class would render S for its own name
 
-    def factor_fraction(self, x: Fraction) -> tuple[Fraction, tuple]:
-        S = self.S
-        k = x.den.exponents[0]
-        value = LT.mul(LT.from_poly(x.num), LT.t_power(-k))
-        lf = factor_laurent(value)
-        j = lf.unit.low
-        sign = lf.unit.body.coeffs[0]
-        if j >= 0:
-            unit_frac = Fraction(ZX.monomial(j, sign), S.one_member())
-        else:
-            unit_frac = Fraction(ZX.constant(sign), S.member((-j,)))
-        primes = tuple(Fraction(l.body, S.one_member()) for l in lf.factors)
-        return (unit_frac, primes)
-
-    def divides(self, x: Fraction, y: Fraction) -> Optional[tuple[SMember, Element]]:
-        S = self.S
-        if ZX.is_zero(x.num):
-            return None
-        q = LT.exact_div(LT.from_poly(y.num), LT.from_poly(x.num))
-        if q is None:
-            return None
-        if q.low >= 0:
-            return (S.one_member(), ZX.make([0] * q.low + list(q.body.coeffs)))
-        return (S.member((-q.low,)), q.body)
-
-    def is_prime_embedded(self, r: Element) -> bool:
-        if ZX.is_zero(r):
-            return False
-        value = LT.from_poly(r)
-        if LT.is_unit(value):
-            return False
-        return len(factor_laurent(value).factors) == 1
+    # bound here too, so that per-class method tracing sees the Laurent calls
+    factor_fraction = BaseEngineOracle.factor_fraction
+    divides = BaseEngineOracle.divides
+    is_prime_embedded = BaseEngineOracle.is_prime_embedded
 
 
 def _descend_checked(f: Poly, S: GeneratedSubmonoid, oracle: LocalizationOracle) -> DescentResult:
@@ -153,7 +129,7 @@ def factor_zx_via_laurent(f: Poly) -> DescentResult:
     """
     with request_memo():
         S = powers_of_x_submonoid()
-        return _descend_checked(f, S, LaurentOracle(S))
+        return _descend_checked(f, S, LaurentOracle(S, factor_poly_zx))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +277,7 @@ def laurent_certificates(pf: PrimeFactorization) -> tuple:
     """Primality certificates for Laurent factors: each factor body avoids the
     powers of X and stays prime in the Laurent ring."""
     S = powers_of_x_submonoid()
-    oracle = LaurentOracle(S)
+    oracle = LaurentOracle(S, factor_poly_zx)
     return tuple(certify_prime(l.body, S, oracle) for l in pf.factors)
 
 

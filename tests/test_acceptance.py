@@ -124,7 +124,7 @@ def test_criterion_4_transfer_soundness():
             else:
                 from locfactor.routes import LaurentOracle
 
-                oracle = LaurentOracle(S)
+                oracle = LaurentOracle(S, factor_poly_zx)
             b = d
             side, quot = transfer_prime_divides(S, p, a, b, oracle)
             target = a if side == "left" else b

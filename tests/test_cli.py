@@ -17,7 +17,7 @@ from locfactor import routes
 from locfactor.basefactor import PrimeFactorization
 from locfactor.cli import main
 from locfactor.expr import parse_in_ring, render
-from locfactor.rings import LT, ZX
+from locfactor.rings import ZX
 from locfactor.selftest import kronecker_reference
 
 
@@ -168,20 +168,40 @@ class TestExitCodes:
         )
 
     def test_products_of_variables_are_charged(self, capsys, monkeypatch):
-        # each term of this 509,999-character sum, a product of 255 X's, has
-        # 1-norm 1 and was charged nothing: evaluating them took 2.5 s before
-        # the engine refused degree 255.  The parser now refuses it first.
+        # each term of this sum, a product of 255 X's, has 1-norm 1 and was
+        # charged nothing: evaluating 1,000 of them took 2.5 s before the
+        # engine refused degree 255.  The parser now refuses 9 of them first.
         from locfactor import expr
 
         def evaluate(*args):
             raise AssertionError("evaluated")
 
         monkeypatch.setattr(expr, "_evaluate", evaluate)
-        assert main(["factor", "+".join(["*".join(["X"] * 255)] * 1000)]) == 2
+        assert main(["factor", "+".join(["*".join(["X"] * 255)] * 9)]) == 2
         assert capsys.readouterr().err == (
-            "error: desk-scale limit: the terms of sums need 32893000 bits in dense "
+            "error: desk-scale limit: the terms of sums need 296037 bits in dense "
             "coefficients, over 262144\n"
         )
+
+    def test_input_length_cap(self, capsys, monkeypatch):
+        # a 5,000,001-character product of X's took 9.3 s and 716 MiB to
+        # refuse; now the text is refused before it is tokenized
+        from locfactor import expr
+
+        def tokenize(*args):
+            raise AssertionError("tokenized")
+
+        monkeypatch.setattr(expr, "_tokenize", tokenize)
+        for command in (["factor"], ["compare"]):
+            t0 = time.monotonic()
+            assert main(command + ["X*" * 2_500_000 + "1"]) == 2
+            assert time.monotonic() - t0 < 0.1
+            assert capsys.readouterr().err == (
+                "error: desk-scale limit: input of 5000001 characters exceeds 100000\n"
+            )
+        monkeypatch.undo()
+        assert main(["factor", "X*" * 49_999 + "11"]) == 2  # 100,000 characters: the degree cap
+        assert capsys.readouterr().err.startswith("error: desk-scale limit: degrees up to 49999")
 
     def test_integer_size_cap(self, capsys):
         # found by the fuzz test: the sieve leaves a 955-bit cofactor, on
@@ -211,18 +231,21 @@ class TestExitCodes:
         assert main(["factor", "(" * 100 + "X+1" + ")" * 100]) == 0
 
     def test_engine_that_merges_factors(self, capsys, monkeypatch):
-        """A Laurent engine that merges its first two factors passes its own
-        primality check, so the route's one check against the direct engine
-        is what catches it, and it exits 3 as a broken engine."""
-        original = routes.factor_laurent
+        """A Laurent oracle whose engine merges its first two factors passes
+        its own primality check, so the route's one check against the direct
+        engine is what catches it, and it exits 3 as a broken engine."""
+        original = routes.LaurentOracle.__init__
 
-        def merging(f):
-            pf = original(f)
-            if len(pf.factors) < 2:
-                return pf
-            return PrimeFactorization(pf.unit, (LT.mul(*pf.factors[:2]),) + pf.factors[2:])
+        def merging(engine):
+            def merged(f):
+                pf = engine(f)
+                if len(pf.factors) < 2:
+                    return pf
+                return PrimeFactorization(pf.unit, (ZX.mul(*pf.factors[:2]),) + pf.factors[2:])
+            return merged
 
-        monkeypatch.setattr(routes, "factor_laurent", merging)
+        monkeypatch.setattr(routes.LaurentOracle, "__init__",
+                            lambda self, S, engine: original(self, S, merging(engine)))
         for command in (["factor", "--route", "laurent"], ["compare"]):
             assert main(command + ["(X^2+1)*(X^2+2)"]) == 3
             assert capsys.readouterr().err == (
@@ -243,10 +266,32 @@ class TestExitCodes:
             return moved.get(a, original(ring, a)) if ring == ZX else original(ring, a)
 
         monkeypatch.setattr(expr, "render", sign_moving)
-        assert main(["factor", "--route", "direct", "--", "(X-1)*(X+2)"]) == 3
-        assert capsys.readouterr() == (
-            "", "error: rendered factorization does not re-parse to the input\n"
-        )
+        for command in (["factor", "--route", "direct"], ["compare"]):
+            assert main(command + ["--", "(X-1)*(X+2)"]) == 3
+            assert capsys.readouterr() == (
+                "", "error: rendered factorization does not re-parse to the input\n"
+            )
+
+    def test_each_printed_piece_is_rendered_once(self, capsys, monkeypatch):
+        """The unit 1 and the factors X - 1 and X + 2 are rendered once each,
+        for the round trip and the output together, however many times and
+        on however many routes they are printed."""
+        from locfactor import expr
+
+        rendered = Counter()
+        original = expr.render
+
+        def counting(ring, a):
+            rendered[original(ring, a)] += 1
+            return original(ring, a)
+
+        monkeypatch.setattr(expr, "render", counting)
+        for argv in (["factor", "(X-1)^2*(X+2)"], ["factor", "--json", "(X-1)^2*(X+2)"],
+                     ["compare", "(X-1)^2*(X+2)"]):
+            assert main(argv) == 0
+            assert rendered == {"1": 1, "X - 1": 1, "X + 2": 1}
+            rendered.clear()
+        assert "direct: unit 1; factors [X - 1, X - 1, X + 2]" in capsys.readouterr().out
 
 
 # the expression alphabet, a space and one non-ASCII decimal digit
@@ -335,6 +380,31 @@ class TestBatchMode:
         assert run_cli(["factor", "--json"], "6\nX^2-1\n", monkeypatch) == 0
         out = capsys.readouterr().out
         assert out.count("\n") == 2 and "\n\n" not in out
+
+    def test_reports_stream(self, monkeypatch):
+        """Batch mode reads stdin one line at a time and flushes each report:
+        a caller on a block-buffered pipe sees the first report before the
+        second line is read."""
+
+        class BlockBuffered(io.StringIO):
+            flushed = ""
+
+            def flush(self):
+                self.flushed = self.getvalue()
+
+        out = BlockBuffered()
+        seen = []
+
+        def stdin():
+            yield "6\n"
+            seen.append(out.flushed)
+            yield "X^2-1\n"
+
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stdin", stdin())
+        assert main(["factor", "--json"]) == 0
+        assert [json.loads(line)["input"] for line in seen[0].splitlines()] == ["6"]
+        assert [json.loads(line)["input"] for line in out.flushed.splitlines()] == ["6", "X^2-1"]
 
     def test_compare_batch_returns_the_worst_code(self, capsys, monkeypatch):
         code = run_cli(["compare"], "T+1\nX-X\nX^2-1\n", monkeypatch)

@@ -38,7 +38,7 @@ def sx():
 
 @pytest.fixture
 def laurent_oracle(sx):
-    return LaurentOracle(sx)
+    return LaurentOracle(sx, factor_poly_zx)
 
 
 class TestCertifyPrime:
@@ -78,7 +78,7 @@ class TestCertifyPrime:
             certify_prime(9, s2, BaseEngineOracle(s2, factor_integer))
         sx = powers_of_x_submonoid()
         with pytest.raises(OracleViolationError, match="or p is not irreducible"):
-            certify_prime(ZX.make([2, 0, 2]), sx, LaurentOracle(sx))  # 2*X^2 + 2
+            certify_prime(ZX.make([2, 0, 2]), sx, LaurentOracle(sx, factor_poly_zx))  # 2*X^2 + 2
 
     def test_content_outside_the_submonoid_is_not_prime(self):
         """3*X + 3 is not prime in Z[1/2][X], nor X*Y in Z[X][1/2][Y]: the

@@ -3,7 +3,7 @@ algorithms, including the documented error taxonomy."""
 
 import pytest
 
-from locfactor.basefactor import factor_bivariate, factor_integer, kronecker_factor
+from locfactor.basefactor import factor_bivariate, factor_integer, factor_poly_zx, kronecker_factor
 from locfactor.descent import BaseEngineOracle
 from locfactor.errors import OracleViolationError, PreconditionError
 from locfactor.localization import (
@@ -232,7 +232,7 @@ class TestTransferPrimeDivides:
         assert transfer_prime_divides(s2, 3, 5, 6, oracle) == ("right", 2)
 
     def test_poly_example(self, sx):
-        oracle = LaurentOracle(sx)
+        oracle = LaurentOracle(sx, factor_poly_zx)
         side, d = transfer_prime_divides(
             sx, ZX.make([1, 1]), ZX.make([-1, 0, 1]), ZX.gen, oracle
         )
