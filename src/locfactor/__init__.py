@@ -20,78 +20,91 @@ The package is organized bottom-up:
 * ``cli``          -- the ``locfactor`` command
 """
 
-from .basefactor import (
-    AssociateBijection,
-    PrimeFactorization,
-    check_factorization_unique,
-    factor_bivariate,
-    factor_integer,
-    factor_poly_zx,
-    is_irreducible,
-    kronecker_factor,
-)
-from .descent import (
-    BaseEngineOracle,
-    DescentResult,
-    LocalizationOracle,
-    PrimalityCertificate,
-    certify_prime,
-    descend_factor,
-)
-from .errors import (
-    DescentInconsistencyError,
-    DeskScaleError,
-    LocFactorError,
-    MathDomainError,
-    OracleViolationError,
-    ParseError,
-    PreconditionError,
-)
-from .expr import parse_expr, render
-from .localization import (
-    Fraction,
-    GeneratedSubmonoid,
-    SMember,
-    avoids,
-    clear_denominator,
-    embed,
-    find_associate_generator,
-    frac_add,
-    frac_eq,
-    frac_is_unit,
-    frac_mul,
-    lift_dvd,
-    split_prime_factors,
-    transfer_irreducible,
-    transfer_prime_divides,
-    witness_multiset,
-)
-from .rings import (
-    LT,
-    ZX,
-    ZXY,
-    ZZ,
-    Laurent,
-    Poly,
-    Ring,
-    laurent_to_poly,
-    strip_var_power,
-)
-from .routes import (
-    compare_routes,
-    factor_iterated,
-    factor_laurent,
-    factor_zx_via_fraction_field,
-    factor_zx_via_laurent,
-)
+import importlib
 
 __version__ = "0.1.0"
 
+# The package's names, by the module that defines them.  Each is imported
+# with its module on first use: ``import locfactor`` loads none of them, so a
+# command loads only the layers it runs.
+_EXPORTS = {
+    "basefactor": (
+        "AssociateBijection",
+        "PrimeFactorization",
+        "check_factorization_unique",
+        "factor_bivariate",
+        "factor_integer",
+        "factor_poly_zx",
+        "is_irreducible",
+        "kronecker_factor",
+    ),
+    "descent": (
+        "BaseEngineOracle",
+        "DescentResult",
+        "LocalizationOracle",
+        "PrimalityCertificate",
+        "certify_prime",
+        "descend_factor",
+    ),
+    "errors": (
+        "DescentInconsistencyError",
+        "DeskScaleError",
+        "LocFactorError",
+        "MathDomainError",
+        "OracleViolationError",
+        "ParseError",
+        "PreconditionError",
+    ),
+    "expr": ("parse_expr", "render"),
+    "localization": (
+        "Fraction",
+        "GeneratedSubmonoid",
+        "SMember",
+        "avoids",
+        "clear_denominator",
+        "embed",
+        "find_associate_generator",
+        "frac_add",
+        "frac_eq",
+        "frac_is_unit",
+        "frac_mul",
+        "lift_dvd",
+        "split_prime_factors",
+        "transfer_irreducible",
+        "transfer_prime_divides",
+        "witness_multiset",
+    ),
+    "rings": (
+        "LT",
+        "ZX",
+        "ZXY",
+        "ZZ",
+        "Laurent",
+        "Poly",
+        "Ring",
+        "laurent_to_poly",
+        "strip_var_power",
+    ),
+    "routes": (
+        "compare_routes",
+        "factor_iterated",
+        "factor_laurent",
+        "factor_zx_via_fraction_field",
+        "factor_zx_via_laurent",
+    ),
+    "selftest": ("run_selftest",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
 
 def __getattr__(name):
-    # the selftest suites are loaded on first use, not by every CLI request
-    if name == "run_selftest":
-        from .selftest import run_selftest
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
 
-        return run_selftest
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__():
+    return sorted({*globals(), *__all__})

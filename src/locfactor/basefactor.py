@@ -29,8 +29,7 @@ import contextvars
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DeskScaleError, MathDomainError, OracleViolationError, PreconditionError
 from .rings import (
@@ -79,8 +78,7 @@ _REQUEST_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
 )
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class PrimeFactorization(NamedTuple):
     """unit * prod(factors) == the factored element; factor order is canonical."""
 
     unit: Element
@@ -95,8 +93,7 @@ class PrimeFactorization:
         return ring.mul(self.unit, ring.prod(self.factors))
 
 
-@dataclass(frozen=True)
-class AssociateBijection:
+class AssociateBijection(NamedTuple):
     """Index pairs (i, j) matching associate factors of two factorizations."""
 
     pairing: tuple
@@ -160,7 +157,7 @@ def _small_primes() -> list[int]:
         for i in range(2, int(limit**0.5) + 1):
             if sieve[i]:
                 sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        _SMALL_PRIMES.extend(i for i in range(limit + 1) if sieve[i])
+        _SMALL_PRIMES.extend(itertools.compress(range(limit + 1), sieve))
     return _SMALL_PRIMES
 
 

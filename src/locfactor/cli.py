@@ -18,8 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import expr
 from .basefactor import (
@@ -31,16 +30,29 @@ from .basefactor import (
 )
 from .errors import LocFactorError, OracleViolationError, ParseError
 from .rings import LT, ZX, ZXY, ZZ, Ring
-from .routes import (
-    compare_routes,
-    factor_iterated,
-    factor_laurent,
-    factor_zx_via_fraction_field,
-    factor_zx_via_laurent,
-    laurent_certificates,
-)
 
 JSON_SCHEMA_VERSION = "1"
+
+# The descent layer (routes, descent, localization) is imported by the first
+# request that descends, so direct requests, integer input and parse and
+# usage errors never load it.  These names of it stay readable as attributes
+# of this module; calls go through ``routes.<name>`` at call time.
+_ROUTES_NAMES = frozenset({
+    "compare_routes",
+    "factor_iterated",
+    "factor_laurent",
+    "factor_zx_via_fraction_field",
+    "factor_zx_via_laurent",
+    "laurent_certificates",
+})
+
+
+def __getattr__(name):
+    if name in _ROUTES_NAMES:
+        from . import routes
+
+        return getattr(routes, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -53,8 +65,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class FactorOutcome:
+class FactorOutcome(NamedTuple):
     ring: Ring
     route: str
     factorization: PrimeFactorization
@@ -90,21 +101,29 @@ def run_factor(ring: Ring, element, route: str) -> FactorOutcome:
             route, pf = "direct", factor_integer(element)
         elif ring == ZX:
             if route in ("auto", "fracfield"):
-                route, res = "fracfield", factor_zx_via_fraction_field(element)
+                from . import routes
+
+                route, res = "fracfield", routes.factor_zx_via_fraction_field(element)
                 pf, certs = res.factorization, res.certificates
             elif route == "laurent":
-                res = factor_zx_via_laurent(element)
+                from . import routes
+
+                res = routes.factor_zx_via_laurent(element)
                 pf, certs = res.factorization, res.certificates
             else:
                 route, pf = "direct", factor_poly_zx(element)
         elif ring == LT:
             if route == "fracfield":
                 raise UsageError("route 'fracfield' is not available for Laurent input")
-            route, pf = "laurent", factor_laurent(element)
-            certs = laurent_certificates(pf)
+            from . import routes
+
+            route, pf = "laurent", routes.factor_laurent(element)
+            certs = routes.laurent_certificates(pf)
         elif ring == ZXY:
             if route in ("auto", "fracfield"):
-                route, res = "iterated", factor_iterated(element)
+                from . import routes
+
+                route, res = "iterated", routes.factor_iterated(element)
                 pf, certs = res.factorization, res.certificates
             elif route == "direct":
                 pf = factor_bivariate(element)
@@ -212,7 +231,9 @@ def _compare_one(args, text: str) -> str:
     ring, element = expr.parse_expr(text)
     if ring != ZX:
         raise UsageError("compare requires a Z[X] expression")
-    return _compare_text(compare_routes(element), text, args.verbose)
+    from . import routes
+
+    return _compare_text(routes.compare_routes(element), text, args.verbose)
 
 
 def _run_inputs(args, one, separate: bool) -> int:

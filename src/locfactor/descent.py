@@ -22,8 +22,7 @@ variant of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .basefactor import PrimeFactorization, memo_bypassed
 from .errors import (
@@ -68,8 +67,7 @@ class LocalizationOracle:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class PrimalityCertificate:
+class PrimalityCertificate(NamedTuple):
     """Replayable evidence that ``subject`` is prime in the base ring.
 
     case "generator": subject == unit * generators[generator_index].
@@ -125,8 +123,7 @@ def certify_prime(
     return PrimalityCertificate(p, S, "localization", oracle=oracle)
 
 
-@dataclass(frozen=True)
-class DescentResult:
+class DescentResult(NamedTuple):
     """Factorization plus one certificate per factor (aligned by index)."""
 
     factorization: PrimeFactorization

@@ -75,6 +75,9 @@ DENSE_TERMS_CAP = 256
 # The tests, golden files, selftest and benchmark corpora (seeds 1-10) stay
 # within a total of 6,000 (a difference of 3,000 X's).
 DENSE_BITS_CAP = 2**18
+# An unknown name is echoed in its error up to this many characters, then
+# by its length alone, so a long mistyped input gives a short error line.
+NAME_ECHO_CAP = 20
 
 
 def _tokenize(text: str) -> list[tuple]:
@@ -103,7 +106,10 @@ def _tokenize(text: str) -> list[tuple]:
                 j += 1
             name = text[i:j]
             if name not in _VARS:
-                raise ParseError(f"unknown variable {name!r}", i)
+                shown = repr(name)
+                if len(name) > NAME_ECHO_CAP:
+                    shown = f"{name[:NAME_ECHO_CAP]!r}... of {len(name)} characters"
+                raise ParseError(f"unknown variable {shown}", i)
             out.append(("var", name, i))
             i = j
             continue

@@ -15,8 +15,7 @@ submonoid, with one generator or many.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import basefactor
 from .errors import MathDomainError, OracleViolationError, PreconditionError
@@ -135,8 +134,7 @@ def witness_multiset(s: SMember) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Fraction:
+class Fraction(NamedTuple):
     """num / den over a submonoid; never reduced, compared by cross-multiplication."""
 
     num: Element
@@ -268,8 +266,7 @@ def split_prime_factors(
     return (a, b, tuple(fa), tuple(fb))
 
 
-@dataclass(frozen=True)
-class IrreducibilityCertificate:
+class IrreducibilityCertificate(NamedTuple):
     """Certifies that the subject's image in the localization is irreducible.
 
     ``non_unit`` records the first half (the embedded subject is not a unit);

@@ -24,8 +24,7 @@ records ``OVER_Z`` and ``OVER_ZX`` supply.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import expr
 from .basefactor import (
@@ -135,8 +134,7 @@ def factor_zx_via_laurent(f: Poly) -> DescentResult:
 # ---------------------------------------------------------------------------
 # constant primes: R[Y] localized at the constant primes of R, for R = Z, Z[X]
 
-@dataclass(frozen=True)
-class CoefficientRing:
+class CoefficientRing(NamedTuple):
     """What the constant-primes oracle needs of the coefficient ring R."""
 
     name: str  # the oracle's name in certificates
@@ -258,16 +256,14 @@ def _render_pf(ring, pf: PrimeFactorization) -> str:
     return f"unit {expr.render(ring, pf.unit)}; factors [{factors}]"
 
 
-@dataclass(frozen=True)
-class RouteRun:
+class RouteRun(NamedTuple):
     route: str
     factorization: PrimeFactorization
     certificates: Optional[tuple]
     elapsed: float
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     element: Poly
     runs: tuple
     agreements: tuple

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import expr
 from .basefactor import (
@@ -772,8 +771,7 @@ SUITES = {
     "routes_laurent_units": suite_routes_laurent_units,
 }
 
-@dataclass(frozen=True)
-class SelfTestReport:
+class SelfTestReport(NamedTuple):
     ok: bool
     lines: tuple
 

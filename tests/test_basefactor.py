@@ -65,6 +65,11 @@ class TestFactorInteger:
         with pytest.raises(MathDomainError):
             factor_integer(0)
 
+    def test_sieve_primes(self):
+        primes = _small_primes()
+        assert len(primes) == 1229 and primes[-1] == 9973
+        assert primes == [n for n in range(2, 10001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
     def test_random_against_brute(self):
         rng = random.Random("basefactor-int")
         for _ in range(50):

@@ -80,6 +80,11 @@ class TestExitCodes:
         for text in ("X^-1", "X\u00b2", "3\u00b2"):  # X², 3²: int() rejects superscripts
             assert main(["factor", text]) == 1
             assert "error:" in capsys.readouterr().err
+        # an unknown name is echoed up to 20 characters, then by its length
+        assert main(["factor", "X" * 100_000]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: unknown variable 'XXXXXXXXXXXXXXXXXXXX'... of 100000 characters (at position 0)\n"
+        assert len(err) < 100
 
     def test_usage_error(self, capsys):
         assert main(["factor", "T+1", "--route", "fracfield"]) == 1

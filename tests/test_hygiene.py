@@ -62,7 +62,6 @@ def test_no_unused_imports():
     unused = {
         name: found
         for name, tree in _modules().items()
-        if name != "__init__.py"  # its imports are the package's re-exports
         for found in [_unused_imports(tree)]
         if found
     }
@@ -88,11 +87,12 @@ def test_each_function_and_class_is_used():
             for name in _references(statement):
                 readers[name].add(statement)
     in_tests = set().union(*(_references(ast.parse(p.read_text(), str(p))) for p in TESTS.glob("*.py")))
-    exported = {
-        alias.asname or alias.name
+    exported = {  # the package's names, served from its _EXPORTS table
+        name
         for node in modules["__init__.py"].body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
+        if _assigned_names(node) == {"_EXPORTS"}
+        for names in ast.literal_eval(node.value).values()
+        for name in names
     }
     unused = [
         f"{module}:{name}"
