@@ -234,6 +234,11 @@ def _pollard_rho(n: int, left: int) -> tuple[int, int]:
 #     at most B(d) = C(d, d//2) * min(|f_t|_2, |f|_2).
 # Modulo mod > 2 B(d) the candidate is exact, so a failed test of total
 # degree d proves that its subset gives no factor; below, it proves nothing.
+# The first lift stops where every single modular factor is decided: lifting
+# to 2 B(n-1) at once took 1,279 Hensel steps instead of 888 on the 200
+# near-cap products of the tests.  A round that meets an undecided test (4 of
+# 2,489 rounds on the seed-1 benchmark corpora) lifts once more, from p, to
+# 2 B(n-1), where every test is decided.
 
 # The factors are counted over the good primes in increasing order: those
 # that do not divide the leading coefficient and keep the input squarefree.
@@ -445,41 +450,28 @@ def _berlekamp_split(f: list[int], basis: list[list[int]], p: int) -> list[list[
     return factors
 
 
-def _hensel_step(m, f, g, h, s, t, stale):
-    """Lift f == g*h (h monic) from modulus m to m^2, given s*g + t*h == 1
-    modulo m, or modulo sqrt(m) when stale: then s and t are lifted to m
-    first.  This is vzGG Algorithm 15.10 with each Bezout update moved to the
-    start of the next step, so a lift that stops leaves s and t one step
-    behind and can go on later.  Products accumulate unreduced and each
-    output is reduced once."""
-    if stale:
-        b = _reduce(_mul_acc(_mul_acc([-1], s, g), t, h), m)  # s*g + t*h - 1
-        c, d = _divmod_monic(_mul_acc([], s, b), h, m)
-        s = _reduce(_mul_acc(list(s), [-1], d), m)  # s - d
-        t = _reduce(_mul_acc(_mul_acc(list(t), [-x for x in t], b), [-x for x in c], g), m)  # t - t*b - c*g
+def _hensel_step(m, f, g, h, s, t, last):
+    """Lift f == g*h (h monic) and s*g + t*h == 1 from modulus m to m^2:
+    vzGG Algorithm 15.10.  On the last step s and t are not needed again and
+    are returned as they were.  Products accumulate unreduced and each output
+    is reduced once."""
     mm = m * m
     e = _reduce(_mul_acc(list(f), [-c for c in g], h), mm)  # f - g*h
     q, r = _divmod_monic(_mul_acc([], s, e), h, mm)
     g = _reduce(_mul_acc(_mul_acc(list(g), t, e), q, g), mm)  # g + t*e + q*g
     h = _reduce(_mul_acc(list(h), [1], r), mm)  # h + r
+    if not last:
+        b = _reduce(_mul_acc(_mul_acc([-1], s, g), t, h), mm)  # s*g + t*h - 1
+        c, d = _divmod_monic(_mul_acc([], s, b), h, mm)
+        s = _reduce(_mul_acc(list(s), [-1], d), mm)  # s - d
+        t = _reduce(_mul_acc(_mul_acc(list(t), [-x for x in t], b), [-x for x in c], g), mm)  # t - t*b - c*g
     return g, h, s, t
 
 
-def _newton_step(f, df, m, x, s, stale):
-    """Lift a root x modulo m of f to modulus m^2, given s == 1/f'(x) modulo
-    m, or modulo sqrt(m) when stale: then s is lifted to m first.  Newton's
-    iteration x - f(x)/f'(x) (vzGG section 9.4), with the inverse lifted one
-    step behind as in ``_hensel_step``."""
-    if stale:
-        s = s * (2 - _eval_mod(df, x, m) * s) % m
-    mm = m * m
-    return (x - _eval_mod(f, x, mm) * s) % mm, s
-
-
-def _hensel_tree(lead: int, factors: list[list[int]], p: int) -> Optional[list]:
+def _hensel_tree(lead: int, factors: list[list[int]], p: int) -> Optional[tuple]:
     """The factor tree over GF(p) of lead times the product of the monic
-    factors: None for a single factor, else the node [g, h, s, t, left,
-    right] that splits them in halves, g = lead * prod(left half), h the
+    factors: None for a single factor, else the node (g, h, s, t, left,
+    right) that splits them in halves, g = lead * prod(left half), h the
     monic rest and s*g + t*h == 1."""
     if len(factors) == 1:
         return None
@@ -491,55 +483,44 @@ def _hensel_tree(lead: int, factors: list[list[int]], p: int) -> Optional[list]:
     for u in factors[k:]:
         h = _mul_mod(h, u, p)
     s, t = _gf_bezout(g, h, p)
-    return [g, h, s, t, _hensel_tree(lead, factors[:k], p), _hensel_tree(1, factors[k:], p)]
+    return g, h, s, t, _hensel_tree(lead, factors[:k], p), _hensel_tree(1, factors[k:], p)
 
 
-def _lift_tree(node: Optional[list], f: list[int], p: int, m: int, mod: int, out: list) -> None:
-    """Append to out the monic lifts modulo mod of the factors below node,
-    whose pieces are lifted to m so far, for f given modulo mod."""
+def _lift_tree(node: Optional[tuple], f: list[int], p: int, mod: int, out: list) -> None:
+    """Append to out the monic lifts modulo mod, a power of p, of the
+    factors below node, for f given modulo mod."""
     if node is None:
         out.append(_monic_mod(f, mod))
         return
     g, h, s, t, left, right = node
-    reached = m
-    while reached < mod:
-        g, h, s, t = _hensel_step(reached, f, g, h, s, t, reached > p)
-        reached *= reached
-    node[:4] = g, h, s, t
-    _lift_tree(left, g, p, m, mod, out)
-    _lift_tree(right, h, p, m, mod, out)
+    m = p
+    while m < mod:
+        g, h, s, t = _hensel_step(m, f, g, h, s, t, m * m == mod)
+        m *= m
+    _lift_tree(left, g, p, mod, out)
+    _lift_tree(right, h, p, mod, out)
 
 
-class _Lifting:
-    """The modular factors of f modulo p, lifted one squaring of the modulus
-    at a time, each round going on from the precision the last one reached.
-    Simple roots rise by Newton's iteration; the nonlinear factors rise down
-    a Hensel tree of f divided by the roots' linear factors."""
-
-    def __init__(self, f: list[int], roots: list[int], nonlinear: list[list[int]], p: int):
-        self.f, self.df = f, [i * c for i, c in enumerate(f)][1:]
-        self.p = self.m = p
-        self.roots = [(r, pow(_eval_mod(self.df, r, p), -1, p)) for r in roots]
-        self.has_tree = bool(nonlinear)
-        self.tree = _hensel_tree(f[-1] % p, nonlinear, p) if nonlinear else None
-
-    def lift(self, mod: int) -> list[list[int]]:
-        """Monic lifts modulo mod, a power of the modulus reached so far, of
-        the modular factors: the roots' linear factors first."""
-        p, m = self.p, self.m
-        lifted = []
-        for i, (x, s) in enumerate(self.roots):
-            reached = m
-            while reached < mod:
-                x, s = _newton_step(self.f, self.df, reached, x, s, reached > p)
-                reached *= reached
-            self.roots[i] = x, s
-            lifted.append([-x % mod, 1])
-        if self.has_tree:
-            cofactor = _divide_roots(_reduce(self.f, mod), [x for x, _ in self.roots], mod)
-            _lift_tree(self.tree, cofactor, p, m, mod, lifted)
-        self.m = mod
-        return lifted
+def _lift(f: list[int], roots: list[int], tree: Optional[tuple], p: int, mod: int) -> list[list[int]]:
+    """Monic lifts modulo mod, p squared some number of times, of the modular
+    factors of f: the linear factors of the simple roots modulo p first, each
+    root lifted by Newton's iteration x - f(x)/f'(x) (vzGG section 9.4)
+    with the inverse of f'(x) lifted alongside, then the nonlinear factors
+    down their Hensel tree, from f divided by the roots' linear factors."""
+    df = [i * c for i, c in enumerate(f)][1:]
+    xs = []
+    for x in roots:
+        s, m = pow(_eval_mod(df, x, p), -1, p), p
+        while m < mod:
+            m *= m
+            x = (x - _eval_mod(f, x, m) * s) % m
+            if m < mod:
+                s = s * (2 - _eval_mod(df, x, m) * s) % m
+        xs.append(x)
+    lifted = [[-x % mod, 1] for x in xs]
+    if len(xs) < len(f) - 1:  # some modular factors are nonlinear
+        _lift_tree(tree, _divide_roots(_reduce(f, mod), xs, mod), p, mod, lifted)
+    return lifted
 
 
 def _split_by_subsets(count: int, split: Callable[[tuple], bool]) -> None:
@@ -658,19 +639,20 @@ def _factor_squarefree(f: list[int]) -> list[list[int]]:
             break
     _, p, roots, rest, basis = best
     nonlinear = _berlekamp_split(rest, basis, p) if basis else []
-    # Lift until every single modular factor is decided, then one squaring
-    # more for each round in which a failed test was not.  From 2 * B(n-1)
-    # on every test is decided, so the rounds end there at the latest.
+    tree = _hensel_tree(f[-1] % p, nonlinear, p) if nonlinear else None
+    # lift to the per-degree target; if the round is undecided, from p to 2 * B(n-1)
     norm_sq = sum(c * c for c in f)
     mod = p
     while not _conclusive(mod, max((len(u) - 1 for u in nonlinear), default=1), norm_sq):
         mod *= mod
-    lifting = _Lifting(f, roots, nonlinear, p)
-    while True:
-        found = _recombine(f, lifting.lift(mod), mod)
-        if found is not None:
-            return found
-        mod *= mod
+    found = _recombine(f, _lift(f, roots, tree, p, mod), mod)
+    if found is None:
+        while not _conclusive(mod, n - 1, norm_sq):
+            mod *= mod
+        found = _recombine(f, _lift(f, roots, tree, p, mod), mod)
+        if found is None:
+            raise OracleViolationError("recombination undecided beyond 2 * B(n-1)")
+    return found
 
 
 def _zassenhaus(f: list[int]) -> list[list[int]]:
@@ -737,11 +719,11 @@ def kronecker_factor(p: Poly) -> PrimeFactorization:
     lift goes only as far as the recombination tests need: a failed test of
     total degree d counts once the modulus exceeds 2 * C(d, d//2) * |f|_2,
     which bounds every candidate of degree d by Mignotte's and Landau's
-    inequalities; a round with a test below that lifts one squaring further,
-    from the precision reached, and recombines again.  The divisor
-    search this entry point is named after is ``selftest.kronecker_reference``,
-    the independent engine it is checked against.  Inside ``request_memo``
-    each distinct input is factored once.
+    inequalities.  The lift goes to the first modulus that decides every
+    single modular factor; if the round is undecided, from p to the bound of
+    degree n - 1.  The divisor search this entry point is named after is
+    ``selftest.kronecker_reference``, the independent engine it is checked
+    against.  Inside ``request_memo`` each distinct input is factored once.
     """
     return _memoized("kronecker_factor", _kronecker_factor_uncached, p)
 
@@ -807,6 +789,12 @@ def _factor_poly_zx_uncached(p: Poly) -> PrimeFactorization:
     return pf
 
 
+def substitution_chunk(deg_x: int) -> int:
+    """The D of the substitution Y -> X^D for a primitive part of X-degree
+    deg_x; Y^j * X^i goes to X^(j*D + i)."""
+    return 2 * deg_x + 1
+
+
 def _pack(f: Poly, chunk: int) -> Poly:
     out: list[int] = []
     for j, cj in enumerate(f.coeffs):
@@ -859,7 +847,7 @@ def _factor_bivariate_uncached(f: Poly) -> PrimeFactorization:
         if ppc != ZXY.one:
             raise OracleViolationError("primitive constant part is not one")
     else:
-        chunk = 2 * zxy_x_degree(ppc) + 1
+        chunk = substitution_chunk(zxy_x_degree(ppc))
         image = _pack(ppc, chunk)
         if len(image.coeffs) - 1 > KRONECKER_DEGREE_CAP:
             raise DeskScaleError(

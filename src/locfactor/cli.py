@@ -43,7 +43,6 @@ _ROUTES_NAMES = frozenset({
     "factor_laurent",
     "factor_zx_via_fraction_field",
     "factor_zx_via_laurent",
-    "laurent_certificates",
 })
 
 
@@ -117,8 +116,8 @@ def run_factor(ring: Ring, element, route: str) -> FactorOutcome:
                 raise UsageError("route 'fracfield' is not available for Laurent input")
             from . import routes
 
-            route, pf = "laurent", routes.factor_laurent(element)
-            certs = routes.laurent_certificates(pf)
+            route, res = "laurent", routes.factor_laurent(element)
+            pf, certs = res.factorization, res.certificates
         elif ring == ZXY:
             if route in ("auto", "fracfield"):
                 from . import routes

@@ -9,7 +9,8 @@ each other:
 * fraction field-- localize at the constant primes that actually occur
                    and compare with Q[X]
 
-plus the bivariate route for Z[X][Y], which descends the same way from
+Laurent input takes the laurent route too (``factor_laurent``), and there is
+the bivariate route for Z[X][Y], which descends the same way from
 Frac(Z[X])[Y] and is cross-checked against the Y -> X^D (Kronecker)
 substitution engine.
 
@@ -36,7 +37,8 @@ from .basefactor import (
     kronecker_factor,
     request_memo,
 )
-from .descent import BaseEngineOracle, DescentResult, LocalizationOracle, certify_prime, descend_factor
+from .descent import BaseEngineOracle, DescentResult, LocalizationOracle, descend_factor
+from .descent import certify_prime  # unused; a benchmark test reads it (ROADMAP item 1)
 from .errors import MathDomainError, OracleViolationError
 from .localization import Fraction, GeneratedSubmonoid, SMember
 from .rings import (
@@ -55,30 +57,6 @@ from .rings import (
 
 # ---------------------------------------------------------------------------
 # Laurent ring
-
-def factor_laurent(f: Laurent) -> PrimeFactorization:
-    """Factor a Laurent polynomial; the unit absorbs the sign and all T powers.
-
-    Every emitted factor is a polynomial with nonzero constant coefficient
-    that stays prime in the Laurent ring because it is prime over Z[X] and
-    does not divide any power of T; the divisibility check is executed, not
-    assumed.
-    """
-    if LT.is_zero(f):
-        raise MathDomainError("cannot factor zero")
-    n, p = laurent_to_poly(f)
-    m, q = strip_var_power(p)
-    pf = factor_poly_zx(q)
-    for r in pf.factors:
-        if ZX.exact_div(ZX.gen, r) is not None:
-            raise OracleViolationError("laurent factor divides T")
-    sign = pf.unit.coeffs[0]
-    unit = Laurent(m - n, Poly((sign,)))
-    out = PrimeFactorization.of(LT, unit, [LT.from_poly(r) for r in pf.factors])
-    if not LT.eq(out.value(LT), f):
-        raise OracleViolationError("factor_laurent reconstruction failed")
-    return out
-
 
 def powers_of_x_submonoid() -> GeneratedSubmonoid:
     return GeneratedSubmonoid(ZX, [ZX.gen])
@@ -129,6 +107,28 @@ def factor_zx_via_laurent(f: Poly) -> DescentResult:
     with request_memo():
         S = powers_of_x_submonoid()
         return _descend_checked(f, S, LaurentOracle(S, factor_poly_zx))
+
+
+def factor_laurent(f: Laurent) -> DescentResult:
+    """Factor a Laurent polynomial by the Laurent route; the unit absorbs
+    the sign and all T powers.
+
+    T^n * f == T^m * q with q(0) != 0, and the factors of q in Z[X] by
+    ``factor_zx_via_laurent`` are the Laurent factors of f, each with its
+    certificate: it avoids the powers of T and is prime in the Laurent ring.
+    """
+    if LT.is_zero(f):
+        raise MathDomainError("cannot factor zero")
+    n, p = laurent_to_poly(f)
+    m, q = strip_var_power(p)
+    res = factor_zx_via_laurent(q)
+    pf = res.factorization
+    unit = Laurent(m - n, Poly((pf.unit.coeffs[0],)))
+    # Z[X] order is Laurent order at T^0, so the certificates stay aligned
+    out = PrimeFactorization(unit, tuple(LT.from_poly(r) for r in pf.factors))
+    if not LT.eq(out.value(LT), f):
+        raise OracleViolationError("factor_laurent reconstruction failed")
+    return DescentResult(out, res.certificates)
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +267,6 @@ class CompareReport(NamedTuple):
     element: Poly
     runs: tuple
     agreements: tuple
-
-
-def laurent_certificates(pf: PrimeFactorization) -> tuple:
-    """Primality certificates for Laurent factors: each factor body avoids the
-    powers of X and stays prime in the Laurent ring."""
-    S = powers_of_x_submonoid()
-    oracle = LaurentOracle(S, factor_poly_zx)
-    return tuple(certify_prime(l.body, S, oracle) for l in pf.factors)
 
 
 def compare_routes(f: Poly) -> CompareReport:

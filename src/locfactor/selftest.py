@@ -24,6 +24,7 @@ from .basefactor import (
     factor_poly_zx,
     is_irreducible,
     kronecker_factor,
+    substitution_chunk,
 )
 from .descent import BaseEngineOracle, certify_prime, descend_factor
 from .errors import LocFactorError, PreconditionError
@@ -97,8 +98,8 @@ def rand_laurent(rng, nonzero=False):
 
 
 def _bivariate_feasible(f) -> bool:
-    # the substitution image n_y*(2*n_x+1)+n_x must stay inside the
-    # univariate engine's degree cap
+    # the substitution image, of degree up to n_y*D + n_x, must stay inside
+    # the univariate engine's degree cap
     if ZXY.is_zero(f):
         return False
     ny = len(f.coeffs) - 1
@@ -106,7 +107,7 @@ def _bivariate_feasible(f) -> bool:
     return (
         ny <= BIVARIATE_DEGREE_CAP
         and nx <= BIVARIATE_DEGREE_CAP
-        and ny * (2 * nx + 1) + nx <= KRONECKER_DEGREE_CAP
+        and ny * substitution_chunk(nx) + nx <= KRONECKER_DEGREE_CAP
     )
 
 
@@ -441,7 +442,7 @@ def suite_base_reconstruction(rng, trials):
                 raise SelfTestFailure("factor_poly_zx does not reconstruct")
         elif kind == "laurent":
             f = rand_laurent(rng, nonzero=True)
-            pf = factor_laurent(f)
+            pf = factor_laurent(f).factorization
             if not LT.eq(pf.value(LT), f):
                 raise SelfTestFailure("factor_laurent does not reconstruct")
         else:
@@ -704,7 +705,7 @@ def suite_routes_agreement(rng, trials):
 def suite_routes_laurent_units(rng, trials):
     for _ in range(trials):
         f = rand_laurent(rng, nonzero=True)
-        pf = factor_laurent(f)
+        pf = factor_laurent(f).factorization
         if pf.unit.body.coeffs not in ((1,), (-1,)):
             raise SelfTestFailure("laurent unit is not +-T^k")
         if not LT.eq(pf.value(LT), f):

@@ -19,7 +19,8 @@ from locfactor.basefactor import (
     _divide_roots,
     _gf_gcd,
     _gf_roots,
-    _Lifting,
+    _hensel_tree,
+    _lift,
     _monic_mod,
     _small_primes,
     check_factorization_unique,
@@ -342,47 +343,25 @@ class TestLiftingPrecision:
 
     def test_second_lifting_round(self, monkeypatch):
         # at the first precision a failed pair test is not conclusive, so
-        # the engine lifts one squaring further and recombines again
-        rounds = []
+        # the engine lifts again, to where every test of degree n-1 is, and
+        # recombines once more
+        rounds, mods = [], []
         recombine = basefactor._recombine
 
         def counting(f, lifted, mod):
             out = recombine(f, lifted, mod)
             rounds.append(out is not None)
+            mods.append(mod)
             return out
 
         monkeypatch.setattr(basefactor, "_recombine", counting)
         p = ZX.make([-81, -36, 69, -106, 119, 67, -39, 71, 40])
         pf = kronecker_factor(p)
         assert rounds == [False, True]
+        norm_sq = sum(c * c for c in p.coeffs)
+        assert not _conclusive(mods[0], 7, norm_sq) and _conclusive(mods[1], 7, norm_sq)
         assert pf.factors == (ZX.make([-9, 6, -4, 3, 8]), ZX.make([9, 10, -5, 7, 5]))
         assert pf.value(ZX) == p
-
-    def test_second_round_goes_on_from_the_first(self, monkeypatch):
-        # the second round lifts each piece one step further: each root by
-        # Newton's iteration and each node of the Hensel tree, which has one
-        # node fewer than it has leaves, instead of lifting again from p
-        steps, rounds = [0], []
-        for name in ("_hensel_step", "_newton_step"):
-            step = getattr(basefactor, name)
-
-            def counting(*args, step=step):
-                steps[0] += 1
-                return step(*args)
-
-            monkeypatch.setattr(basefactor, name, counting)
-        recombine = basefactor._recombine
-
-        def recording(f, lifted, mod):
-            linear = sum(len(u) == 2 for u in lifted)
-            rounds.append((steps[0], linear + max(len(lifted) - linear - 1, 0)))
-            return recombine(f, lifted, mod)
-
-        monkeypatch.setattr(basefactor, "_recombine", recording)
-        kronecker_factor(ZX.make([-81, -36, 69, -106, 119, 67, -39, 71, 40]))
-        (first, pieces), (second, _) = rounds
-        assert pieces == 5  # four roots and two quadratics
-        assert second - first == pieces
 
 
 def _value(f, x, m):
@@ -393,7 +372,7 @@ def _value(f, x, m):
 @given(st.sampled_from(_small_primes()[:8]), st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=17))
 def test_roots_and_their_newton_lifts(p, coeffs):
     """Roots in GF(p) by evaluation, division by their linear factors, and
-    the lifts of every modular factor, checked round after round: each
+    the lifts of every modular factor, checked at three precisions: each
     Newton-lifted root x_k has f(x_k) == 0 mod p^(2^k) and x_k == x mod p,
     and lc(f) times all the lifts is f modulo p^(2^k)."""
     f = coeffs
@@ -409,11 +388,12 @@ def test_roots_and_their_newton_lifts(p, coeffs):
     assert ZX.make([c % p for c in ZX.prod([ZX.make(rest)] + [ZX.make([-r, 1]) for r in roots]).coeffs]) == ZX.make(fp)
     assert all(_value(rest, x, p) for x in range(p))
     nonlinear = _berlekamp_split(rest, _berlekamp_basis(rest, p), p) if len(rest) > 1 else []
-    lifting = _Lifting(f, roots, nonlinear, p)
+    tree = _hensel_tree(f[-1] % p, nonlinear, p) if nonlinear else None
     mod = p
     for _ in range(3):
         mod *= mod
-        lifted = lifting.lift(mod)
+        lifted = _lift(f, roots, tree, p, mod)
+        assert len(lifted) == len(roots) + len(nonlinear)
         for r, u in zip(roots, lifted):
             x = -u[0] % mod
             assert _value(f, x, mod) == 0 and x % p == r

@@ -258,6 +258,29 @@ class TestExitCodes:
                 "unit 1; factors [X^2 + 1, X^2 + 2] vs unit 1; factors [X^4 + 3*X^2 + 2]\n"
             )
 
+    def test_engine_that_merges_factors_of_laurent_input(self, capsys, monkeypatch):
+        """Laurent input is factored by the Laurent route, so the route's
+        check against the direct engine catches the merging engine on it
+        too, on every route that takes Laurent input."""
+        original = routes.LaurentOracle.__init__
+
+        def merging(engine):
+            def merged(f):
+                pf = engine(f)
+                if len(pf.factors) < 2:
+                    return pf
+                return PrimeFactorization(pf.unit, (ZX.mul(*pf.factors[:2]),) + pf.factors[2:])
+            return merged
+
+        monkeypatch.setattr(routes.LaurentOracle, "__init__",
+                            lambda self, S, engine: original(self, S, merging(engine)))
+        for route in ("auto", "laurent", "direct"):
+            assert main(["factor", "--route", route, "--", "(T^4+3*T^2+2)*T^-1"]) == 3
+            assert capsys.readouterr() == ("", (
+                "error: direct engine and the descent through Z[T,T^-1] factorization disagree: "
+                "unit 1; factors [X^2 + 1, X^2 + 2] vs unit 1; factors [X^4 + 3*X^2 + 2]\n"
+            ))
+
     def test_renderer_that_moves_a_sign(self, capsys, monkeypatch):
         """A renderer that negates the unit 1 and the factor X - 1 keeps the
         product of the printed pieces, so only a round trip of each printed

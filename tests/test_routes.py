@@ -9,6 +9,7 @@ import pytest
 
 from locfactor import routes
 from locfactor.basefactor import check_factorization_unique, factor_bivariate
+from locfactor.cli import main
 from locfactor.errors import DeskScaleError, MathDomainError
 from locfactor.rings import LT, ZX, ZXY
 from locfactor.routes import (
@@ -25,12 +26,15 @@ from locfactor.selftest import rand_bivariate_feasible, rand_zx
 
 class TestFactorLaurent:
     def test_examples(self):
-        pf = factor_laurent(LT.make(-1, [1, 0, 1]))  # T^-1 + T
+        res = factor_laurent(LT.make(-1, [1, 0, 1]))  # T^-1 + T
+        pf = res.factorization
         assert pf.unit == LT.t_power(-1)
         assert pf.factors == (LT.from_poly(ZX.make([1, 0, 1])),)
-        pf = factor_laurent(LT.t_power(3))
-        assert pf.unit == LT.t_power(3) and pf.factors == ()
-        pf = factor_laurent(LT.make(1, [2]))  # 2T
+        assert [(c.subject, c.case) for c in res.certificates] == [(ZX.make([1, 0, 1]), "localization")]
+        res = factor_laurent(LT.t_power(3))
+        assert res.factorization.unit == LT.t_power(3) and res.factorization.factors == ()
+        assert res.certificates == ()
+        pf = factor_laurent(LT.make(1, [2])).factorization  # 2T
         assert pf.unit == LT.t_power(1)
         assert pf.factors == (LT.from_poly(ZX.from_int(2)),)
 
@@ -46,11 +50,29 @@ class TestFactorLaurent:
             f = LT.make(low, body)
             if LT.is_zero(f):
                 continue
-            pf = factor_laurent(f)
+            res = factor_laurent(f)
+            pf = res.factorization
             assert pf.unit.body.coeffs in ((1,), (-1,))
             assert LT.eq(pf.value(LT), f)
-            for l in pf.factors:
+            for l, cert in zip(pf.factors, res.certificates, strict=True):
                 assert ZX.exact_div(ZX.gen, l.body) is None  # factor does not divide T
+                assert cert.subject == l.body and cert.case == "localization" and cert.replay()
+
+    def test_one_descent_per_input(self, monkeypatch):
+        """Laurent input is factored by the Laurent route, once per request."""
+        calls = []
+        route = routes.factor_zx_via_laurent
+
+        def counting(f):
+            calls.append(f)
+            return route(f)
+
+        monkeypatch.setattr(routes, "factor_zx_via_laurent", counting)
+        for argv in (["factor", "--", "(T^4+3*T^2+2)*T^-1"], ["factor", "--route", "direct", "--verbose", "--", "-2*T^-3+T^2"]):
+            calls.clear()
+            assert main(argv) == 0
+            assert len(calls) == 1
+        assert calls == [ZX.make([-2, 0, 0, 0, 0, 1])]
 
 
 class TestLaurentRoute:
