@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 # command loads only the layers it runs.
 _EXPORTS = {
     "basefactor": (
-        "AssociateBijection",
         "PrimeFactorization",
         "check_factorization_unique",
         "factor_bivariate",

@@ -93,12 +93,6 @@ class PrimeFactorization(NamedTuple):
         return ring.mul(self.unit, ring.prod(self.factors))
 
 
-class AssociateBijection(NamedTuple):
-    """Index pairs (i, j) matching associate factors of two factorizations."""
-
-    pairing: tuple
-
-
 # ---------------------------------------------------------------------------
 # integers
 
@@ -343,6 +337,10 @@ def _eval_mod(f: list[int], x: int, m: int) -> int:
     for c in reversed(f):
         v = (v * x + c) % m
     return v
+
+
+def _derivative_mod(f: list[int], m: int) -> list[int]:
+    return _trim([i * c % m for i, c in enumerate(f)][1:])
 
 
 def _gf_roots(f: list[int], p: int) -> list[int]:
@@ -623,11 +621,15 @@ def _factor_squarefree(f: list[int]) -> list[list[int]]:
         if f[-1] % p == 0:
             continue
         fp = _monic_mod([c % p for c in f], p)
-        if len(_gf_gcd(fp, _trim([i * c % p for i, c in enumerate(fp)][1:]), p)) > 1:
-            continue
         roots = _gf_roots(fp, p)
+        slope = _derivative_mod(fp, p)
+        if any(_eval_mod(slope, r, p) == 0 for r in roots):
+            continue  # a repeated root
         rest = _divide_roots(fp, roots, p)
-        # a quadratic or cubic without roots is irreducible
+        # with simple roots, f mod p is squarefree exactly when rest is; and a
+        # quadratic or cubic without roots is irreducible, so squarefree
+        if len(rest) > 4 and len(_gf_gcd(rest, _derivative_mod(rest, p), p)) > 1:
+            continue
         basis = [] if len(rest) == 1 else [[1]] if len(rest) <= 4 else _berlekamp_basis(rest, p)
         count = len(roots) + len(basis)
         if count == 1:
@@ -902,13 +904,11 @@ def is_irreducible(ring: Ring, a: Element) -> bool:
     raise MathDomainError(f"no irreducibility oracle for {ring.name}")
 
 
-def check_factorization_unique(
-    ring: Ring, f1: PrimeFactorization, f2: PrimeFactorization
-) -> Optional[AssociateBijection]:
-    """Bijection pairing associate factors, or None when the factorizations
-    disagree (different elements or mismatched multisets).  Every caller
-    compares with an engine's answer, so factors are not tested for
-    irreducibility: one that should split is a mismatched multiset."""
+def check_factorization_unique(ring: Ring, f1: PrimeFactorization, f2: PrimeFactorization) -> bool:
+    """Whether the factorizations agree: the same element, and factor
+    multisets equal up to associates.  Every caller compares with an
+    engine's answer, so factors are not tested for irreducibility: one that
+    should split is a mismatched multiset."""
     for fz in (f1, f2):
         if not ring.is_unit(fz.unit):
             raise PreconditionError("factorization unit slot is not a unit")
@@ -916,19 +916,11 @@ def check_factorization_unique(
             if ring.is_zero(q) or ring.is_unit(q):
                 raise PreconditionError("not a factorization into irreducibles")
     if not ring.eq(f1.value(ring), f2.value(ring)):
-        return None
+        return False
     if len(f1.factors) != len(f2.factors):
-        return None
-    norm1 = [ring.canonical_associate(q)[1] for q in f1.factors]
-    norm2 = [ring.canonical_associate(q)[1] for q in f2.factors]
-    used = [False] * len(norm2)
-    pairs = []
-    for i, a in enumerate(norm1):
-        for j, b in enumerate(norm2):
-            if not used[j] and ring.eq(a, b):
-                used[j] = True
-                pairs.append((i, j))
-                break
-        else:
-            return None
-    return AssociateBijection(tuple(pairs))
+        return False
+    # canonical associates are unique per class, and sort_key is injective on them
+    norm1, norm2 = (
+        sorted((ring.canonical_associate(q)[1] for q in fz.factors), key=ring.sort_key) for fz in (f1, f2)
+    )
+    return all(ring.eq(a, b) for a, b in zip(norm1, norm2))

@@ -24,6 +24,7 @@ records ``OVER_Z`` and ``OVER_ZX`` supply.
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import Callable, NamedTuple, Optional
 
@@ -80,6 +81,18 @@ class LaurentOracle(BaseEngineOracle):
     is_prime_embedded = BaseEngineOracle.is_prime_embedded
 
 
+def _require_agreement(ring, a: PrimeFactorization, b: PrimeFactorization, what: str) -> None:
+    """Raise ``OracleViolationError`` naming ``what`` and both sides unless
+    the factorizations agree up to associates."""
+    if check_factorization_unique(ring, a, b):
+        return
+    shown = []
+    for pf in (a, b):
+        factors = ", ".join(expr.render(ring, q) for q in pf.factors)
+        shown.append(f"unit {expr.render(ring, pf.unit)}; factors [{factors}]")
+    raise OracleViolationError(f"{what}: {shown[0]} vs {shown[1]}")
+
+
 def _descend_checked(f: Poly, S: GeneratedSubmonoid, oracle: LocalizationOracle) -> DescentResult:
     """``descend_factor``, then one check of the localization-case factors
     against the direct factorization of their value, the stripped residue a0
@@ -90,11 +103,7 @@ def _descend_checked(f: Poly, S: GeneratedSubmonoid, oracle: LocalizationOracle)
         pf.unit, tuple(q for q, c in zip(pf.factors, res.certificates) if c.case == "localization")
     )
     direct = factor_poly_zx(local.value(ZX))
-    if check_factorization_unique(ZX, direct, local) is None:
-        raise OracleViolationError(
-            f"direct engine and the descent through {oracle.name} disagree: "
-            f"{_render_pf(ZX, direct)} vs {_render_pf(ZX, local)}"
-        )
+    _require_agreement(ZX, direct, local, f"direct engine and the descent through {oracle.name} disagree")
     return res
 
 
@@ -240,21 +249,12 @@ def factor_iterated(f: Poly) -> DescentResult:
         direct = factor_bivariate(f)  # first: it rejects zero and the degree caps
         S = iterated_submonoid(f)
         res = descend_factor(f, S, ConstantPrimesOracle(S, OVER_ZX, factor_bivariate))
-        if check_factorization_unique(ZXY, direct, res.factorization) is None:
-            raise OracleViolationError(
-                "substitution engine and descent disagree: "
-                f"{_render_pf(ZXY, direct)} vs {_render_pf(ZXY, res.factorization)}"
-            )
+        _require_agreement(ZXY, direct, res.factorization, "substitution engine and descent disagree")
     return res
 
 
 # ---------------------------------------------------------------------------
 # route comparison
-
-def _render_pf(ring, pf: PrimeFactorization) -> str:
-    factors = ", ".join(expr.render(ring, q) for q in pf.factors)
-    return f"unit {expr.render(ring, pf.unit)}; factors [{factors}]"
-
 
 class RouteRun(NamedTuple):
     route: str
@@ -264,7 +264,6 @@ class RouteRun(NamedTuple):
 
 
 class CompareReport(NamedTuple):
-    element: Poly
     runs: tuple
     agreements: tuple
 
@@ -286,15 +285,9 @@ def compare_routes(f: Poly) -> CompareReport:
         t0 = time.perf_counter()
         ff = factor_zx_via_fraction_field(f)
         runs.append(RouteRun("fracfield", ff.factorization, ff.certificates, time.perf_counter() - t0))
-        agreements = []
-        for i in range(len(runs)):
-            for j in range(i + 1, len(runs)):
-                bij = check_factorization_unique(ZX, runs[i].factorization, runs[j].factorization)
-                if bij is None:
-                    raise OracleViolationError(
-                        f"route disagreement between {runs[i].route} and {runs[j].route}: "
-                        f"{_render_pf(ZX, runs[i].factorization)} vs "
-                        f"{_render_pf(ZX, runs[j].factorization)}"
-                    )
-                agreements.append((runs[i].route, runs[j].route))
-        return CompareReport(f, tuple(runs), tuple(agreements))
+        pairs = tuple(itertools.combinations(runs, 2))
+        for a, b in pairs:
+            _require_agreement(
+                ZX, a.factorization, b.factorization, f"route disagreement between {a.route} and {b.route}"
+            )
+        return CompareReport(tuple(runs), tuple((a.route, b.route) for a, b in pairs))

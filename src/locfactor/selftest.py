@@ -477,7 +477,7 @@ def suite_base_unique_shuffle(rng, trials):
             perturbed.append(ring.mul(u, q))
             unit = ring.mul(unit, ring.unit_inverse(u))
         other = PrimeFactorization(unit, tuple(perturbed))
-        if check_factorization_unique(ring, pf, other) is None:
+        if not check_factorization_unique(ring, pf, other):
             raise SelfTestFailure("uniqueness bijection not found after shuffle")
 
 
@@ -677,7 +677,7 @@ def suite_descent_oracle_agreement(rng, trials):
     for _ in range(trials):
         p = rand_zx(rng, nonzero=True)
         res = factor_zx_via_fraction_field(p)
-        if check_factorization_unique(ZX, res.factorization, factor_poly_zx(p)) is None:
+        if not check_factorization_unique(ZX, res.factorization, factor_poly_zx(p)):
             raise SelfTestFailure("fraction-field descent disagrees with the direct engine")
 
 

@@ -3,6 +3,7 @@
 
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -279,32 +280,30 @@ class TestFactorBivariate:
 
 class TestUniqueness:
     def test_reorder(self):
-        bij = check_factorization_unique(
+        assert check_factorization_unique(
             ZZ, PrimeFactorization(1, (2, 3)), PrimeFactorization(1, (3, 2))
-        )
-        assert bij is not None and sorted(bij.pairing) == [(0, 1), (1, 0)]
+        ) is True
 
     def test_unit_absorption(self):
-        bij = check_factorization_unique(
+        assert check_factorization_unique(
             ZZ, PrimeFactorization(1, (2, 3)), PrimeFactorization(1, (-2, -3))
-        )
-        assert bij is not None
+        ) is True
 
     def test_different_elements(self):
-        assert (
-            check_factorization_unique(
-                ZZ, PrimeFactorization(1, (2, 3)), PrimeFactorization(1, (2, 2))
-            )
-            is None
-        )
+        assert check_factorization_unique(
+            ZZ, PrimeFactorization(1, (2, 3)), PrimeFactorization(1, (2, 2))
+        ) is False
+
+    def test_same_value_and_length_different_multisets(self):
+        # 4 * 9 == 6 * 6: only the multiset comparison tells them apart
+        assert check_factorization_unique(
+            ZZ, PrimeFactorization(1, (4, 9)), PrimeFactorization(1, (6, 6))
+        ) is False
 
     def test_rejects_reducible_factor(self):
         # factors are not tested for irreducibility: a reducible one is
         # rejected as a mismatch against the engine's own answer
-        assert (
-            check_factorization_unique(ZZ, factor_integer(4), PrimeFactorization(1, (4,)))
-            is None
-        )
+        assert check_factorization_unique(ZZ, factor_integer(4), PrimeFactorization(1, (4,))) is False
 
     def test_rejects_unit_factor(self):
         with pytest.raises(PreconditionError):
@@ -499,3 +498,29 @@ def test_linear_factors_stay_off_the_hensel_tree(monkeypatch):
     every modular factor went down it."""
     steps = _hensel_steps_on_near_cap_products(monkeypatch)
     assert steps <= _HENSEL_STEPS_WITH_LINEAR_FACTORS_IN_THE_TREE // 2
+
+
+# GF(p) gcds of the squarefree test on the same products when each prime
+# tested the whole of f mod p, and of the Berlekamp splits then and now
+_SQUAREFREE_GCDS_ON_WHOLE_INPUTS = 798
+_BERLEKAMP_SPLIT_GCDS = 2135
+
+
+def test_squarefree_tests_skip_primes_with_repeated_roots(monkeypatch):
+    """A count, not a time: a prime with a repeated root is skipped before
+    any gcd, and the gcd test runs only on a root-free rest of degree 4 or
+    more, so the squarefree tests take at most a third of the gcds they took
+    on the whole input.  The same primes are chosen, so the Berlekamp splits
+    take the same gcds."""
+    callers = Counter()
+    gcd = basefactor._gf_gcd
+
+    def counting(*args):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return gcd(*args)
+
+    monkeypatch.setattr(basefactor, "_gf_gcd", counting)
+    for p in _near_cap_products(200):
+        assert kronecker_factor(p).value(ZX) == p
+    assert callers["_factor_squarefree"] <= _SQUAREFREE_GCDS_ON_WHOLE_INPUTS // 3
+    assert callers["_berlekamp_split"] == _BERLEKAMP_SPLIT_GCDS

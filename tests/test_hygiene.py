@@ -156,3 +156,27 @@ def test_cli_serves_only_names_that_routes_defines():
         node.name for node in modules["routes.py"].body if isinstance(node, ast.ClassDef)
     }
     assert served and sorted(served - defined) == []
+
+
+def test_each_record_field_is_read():
+    """Every field of a ``NamedTuple`` record is read as an attribute
+    somewhere in src/ or tests/: a field nothing reads is dead data."""
+    modules = _modules()
+    trees = [*modules.values(), *(ast.parse(p.read_text(), str(p)) for p in TESTS.glob("*.py"))]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{module}:{cls.name}.{field.target.id}"
+        for module, tree in modules.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in cls.bases)
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in read
+    ]
+    assert unread == []
