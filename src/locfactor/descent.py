@@ -44,15 +44,15 @@ from .rings import Element
 
 
 class LocalizationOracle:
-    """Interface a localization factorization oracle must provide.
+    """A localization factorization oracle: the paper's hypothesis that
+    S^-1 R is a UFD, for a prime-generated submonoid ``self.S`` of a UFD R.
 
-    ``factor_fraction`` returns (unit fraction, prime fractions); the product
-    of all returned fractions must equal the input under cross-multiplication
-    and every prime fraction's numerator must live in the base ring.
-    ``divides`` answers embedded divisibility with an (s, c) witness such that
-    s.value * target == subject * c, or None; it reads the numerators only,
-    since every caller passes ``embed(...)`` fractions.  ``is_prime_embedded``
-    decides primality of an embedded base-ring element in the localization.
+    A subclass sets ``S`` and ``name`` and implements ``factor_fraction``
+    alone: it returns (unit fraction, prime fractions), whose product equals
+    the input under cross-multiplication, and every prime fraction's
+    numerator lives in the base ring.  Primality and divisibility in
+    S^-1 R are derived here, from that factorization and from exact
+    division in R.
     """
 
     name = "localization oracle"
@@ -60,11 +60,39 @@ class LocalizationOracle:
     def factor_fraction(self, x: Fraction) -> tuple[Fraction, tuple]:
         raise NotImplementedError
 
-    def divides(self, x: Fraction, y: Fraction) -> Optional[tuple[SMember, Element]]:
-        raise NotImplementedError
-
     def is_prime_embedded(self, r: Element) -> bool:
-        raise NotImplementedError
+        """Primality of the image of r in S^-1 R: in a UFD a nonzero element
+        is prime exactly when its factorization has one prime fraction and
+        a unit fraction that strips to a unit of R."""
+        if self.S.ring.is_zero(r):
+            return False
+        unit, primes = self.factor_fraction(embed(r, self.S))
+        return len(primes) == 1 and frac_is_unit(unit)
+
+    def divides(self, x: Fraction, y: Fraction) -> Optional[tuple[SMember, Element]]:
+        """Divisibility of embedded elements with an (s, c) witness such that
+        s.value * y.num == x.num * c, or None; only the numerators are read,
+        since every caller passes ``embed(...)`` fractions.
+
+        Write x = sx * x0 and y = sy * y0 with sx, sy in S and x0, y0 free of
+        generator factors.  The generators are primes, so gcd(x0, s) = 1 for
+        every s in S, and x0 | s * y0 exactly when x0 | y0.  So x divides
+        s * y for some s in S exactly when the residues divide exactly in R,
+        and the generator exponents then give the least such s.
+        """
+        S = self.S
+        ring = S.ring
+        if ring.is_zero(x.num):
+            return None
+        px, xr = S.strip(x.num)
+        py, yr = S.strip(y.num)
+        q = ring.exact_div(yr, xr)
+        if q is None:
+            return None
+        s_exps = tuple(max(a - b, 0) for a, b in zip(px, py))
+        extra = tuple(b + s - a for a, b, s in zip(px, py, s_exps))
+        c = ring.mul(q, S.member(extra).value)
+        return (S.member(s_exps), c)
 
 
 class PrimalityCertificate(NamedTuple):
@@ -214,27 +242,3 @@ class BaseEngineOracle(LocalizationOracle):
                 primes.append(Fraction(q, S.one_member()))
         unit_frac = Fraction(ring.mul(unit_num, S.member(exps).value), x.den)
         return (unit_frac, tuple(primes))
-
-    def divides(self, x: Fraction, y: Fraction) -> Optional[tuple[SMember, Element]]:
-        S = self.S
-        ring = S.ring
-        if ring.is_zero(x.num):
-            return None
-        px, xr = S.strip(x.num)
-        py, yr = S.strip(y.num)
-        q = ring.exact_div(yr, xr)
-        if q is None:
-            return None
-        s_exps = tuple(max(a - b, 0) for a, b in zip(px, py))
-        extra = tuple(b + s - a for a, b, s in zip(px, py, s_exps))
-        c = ring.mul(q, S.member(extra).value)
-        return (S.member(s_exps), c)
-
-    def is_prime_embedded(self, r: Element) -> bool:
-        S = self.S
-        if S.ring.is_zero(r):
-            return False
-        _, rr = S.strip(r)
-        if S.ring.is_unit(rr):
-            return False
-        return len(self.engine(rr).factors) == 1

@@ -18,18 +18,12 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from . import basefactor
-from .errors import MathDomainError, OracleViolationError, PreconditionError
+from .errors import OracleViolationError, PreconditionError
 from .rings import Element, Ring
 
 
 def _require_irreducible(ring: Ring, p: Element) -> None:
-    if ring.is_zero(p) or ring.is_unit(p):
-        raise PreconditionError("not irreducible")
-    try:
-        ok = basefactor.is_irreducible(ring, p)
-    except MathDomainError:
-        return  # no base oracle for this ring; irreducibility is caller-asserted
-    if not ok:
+    if not basefactor.is_irreducible(ring, p):
         raise PreconditionError("not irreducible")
 
 
@@ -309,7 +303,8 @@ def transfer_prime_divides(
 ) -> tuple[str, Element]:
     """Decide p | a or p | b from localization-side primality of the image.
 
-    ``oracle.divides`` must answer embedded divisibility with an (s, c)
+    ``oracle.divides``, which every ``LocalizationOracle`` derives from exact
+    division in the base ring, answers embedded divisibility with an (s, c)
     witness satisfying s.value * target == p * c; the witness is then lifted
     back with ``lift_dvd`` to produce the exact base-ring quotient.
     """

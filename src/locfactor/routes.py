@@ -16,10 +16,14 @@ substitution engine.
 
 The fraction-field and bivariate routes are one construction, as in the
 paper: R[Y] localized at the constant primes of R and compared with
-Frac(R)[Y], for R = Z and R = Z[X].  ``ConstantPrimesOracle`` realizes it
-once, by Gauss's lemma on R[Y]: it computes in R[Y] alone, and needs of R
-only the split into content and primitive part that the ``CoefficientRing``
-records ``OVER_Z`` and ``OVER_ZX`` supply.
+Frac(R)[Y], for R = Z and R = Z[X].  ``ConstantPrimesOracle`` realizes its
+factorization once, by Gauss's lemma on R[Y]: it computes in R[Y] alone, and
+needs of R only the split into content and primitive part that the
+``CoefficientRing`` records ``OVER_Z`` and ``OVER_ZX`` supply.
+
+Every oracle here implements ``factor_fraction`` alone; primality and
+divisibility in the localization are derived from it by
+``LocalizationOracle``, the same for every route.
 """
 
 from __future__ import annotations
@@ -41,12 +45,11 @@ from .basefactor import (
 from .descent import BaseEngineOracle, DescentResult, LocalizationOracle, descend_factor
 from .descent import certify_prime  # unused; a benchmark test reads it (ROADMAP item 1)
 from .errors import MathDomainError, OracleViolationError
-from .localization import Fraction, GeneratedSubmonoid, SMember
+from .localization import Fraction, GeneratedSubmonoid
 from .rings import (
     LT,
     ZX,
     ZXY,
-    Element,
     Laurent,
     Poly,
     laurent_to_poly,
@@ -65,10 +68,9 @@ def powers_of_x_submonoid() -> GeneratedSubmonoid:
 
 class LaurentOracle(BaseEngineOracle):
     """Localization of Z[X] at the powers of X, the Laurent ring, computed in
-    Z[X] by the base-engine oracle: X is a unit there, so X^m * q factors and
-    divides as q does, and q with q(0) != 0 is prime there exactly when it is
-    prime in Z[X].  ``engine`` is the Z[X] factorizer, passed in as for
-    ``ConstantPrimesOracle``."""
+    Z[X] by the base-engine oracle: X is a unit there, so X^m * q factors as
+    q does, with the factors X counted into the unit.  ``engine`` is the Z[X]
+    factorizer, passed in as for ``ConstantPrimesOracle``."""
 
     name = "Z[T,T^-1] factorization"
 
@@ -77,8 +79,6 @@ class LaurentOracle(BaseEngineOracle):
 
     # bound here too, so that per-class method tracing sees the Laurent calls
     factor_fraction = BaseEngineOracle.factor_fraction
-    divides = BaseEngineOracle.divides
-    is_prime_embedded = BaseEngineOracle.is_prime_embedded
 
 
 def _require_agreement(ring, a: PrimeFactorization, b: PrimeFactorization, what: str) -> None:
@@ -158,12 +158,12 @@ class ConstantPrimesOracle(LocalizationOracle):
     """Localization of R[Y] at constant primes of R, compared with Frac(R)[Y]
     by Gauss's lemma on R[Y].
 
-    A primitive polynomial factors the same way over R and over Frac(R), and
-    divides an element of R[Y] over Frac(R) exactly when it does over R; the
+    A primitive polynomial factors the same way over R and over Frac(R); the
     content is a unit of Frac(R)[Y], and of S^-1 R[Y] only if it strips to
     one.  So ``engine``, the R[Y] factorizer of primitive polynomials,
-    answers for Frac(R)[Y], the prime fractions need no denominators, and
-    divisibility needs only exact division in R[Y].  The engine is passed in
+    answers for Frac(R)[Y] and the prime fractions need no denominators.  A
+    constant is thus never prime here, and 3*X + 3 is not prime over <2>:
+    its unit fraction 3 does not strip to a unit.  The engine is passed in
     rather than captured, so a caller that rebinds it by name is seen here
     too.
     """
@@ -180,33 +180,6 @@ class ConstantPrimesOracle(LocalizationOracle):
         pf = self.engine(prim)
         unit_frac = Fraction(ring.mul(ring.constant(c), pf.unit), x.den)
         return (unit_frac, tuple(Fraction(q, self.S.one_member()) for q in pf.factors))
-
-    def divides(self, x: Fraction, y: Fraction) -> Optional[tuple[SMember, Element]]:
-        S = self.S
-        ring = S.ring
-        if ring.is_zero(x.num):
-            return None
-        c, px = self.R.primitive(x.num)
-        q = ring.exact_div(y.num, px)  # px | y over Frac(R) iff over R
-        if q is None:
-            return None
-        exps, rest = S.strip(ring.constant(c))  # c == s.value * rest
-        cleared = ring.exact_div(q, rest)
-        if cleared is None:
-            return None  # no witness with denominator inside this submonoid
-        return (S.member(exps), cleared)  # s.value * y == x * cleared
-
-    def is_prime_embedded(self, r: Element) -> bool:
-        ring = self.S.ring
-        if ring.is_zero(r):
-            return False
-        c, prim = self.R.primitive(r)
-        if len(prim.coeffs) <= 1:
-            return False  # constants are units over the fraction field
-        _, rest = self.S.strip(ring.constant(c))
-        if not ring.is_unit(rest):
-            return False  # a content prime outside S stays a factor in S^-1 R[Y]
-        return len(self.engine(prim).factors) == 1
 
 
 def fracfield_submonoid(f: Poly) -> GeneratedSubmonoid:
@@ -271,7 +244,11 @@ class CompareReport(NamedTuple):
 def compare_routes(f: Poly) -> CompareReport:
     """Run the direct engine and both descent routes; insist on pairwise
     agreement up to associates.  The routes share ``kronecker_factor``
-    answers through one request memo, and nothing else."""
+    answers through one request memo, and nothing else.
+
+    Agreement is an equivalence (same value, same sorted canonical
+    associates), so each descent route is checked against the direct engine
+    and the third pair, laurent against fracfield, follows."""
     if ZX.is_zero(f):
         raise MathDomainError("cannot factor zero")
     with request_memo():
@@ -285,9 +262,9 @@ def compare_routes(f: Poly) -> CompareReport:
         t0 = time.perf_counter()
         ff = factor_zx_via_fraction_field(f)
         runs.append(RouteRun("fracfield", ff.factorization, ff.certificates, time.perf_counter() - t0))
-        pairs = tuple(itertools.combinations(runs, 2))
-        for a, b in pairs:
+        for run in runs[1:]:
             _require_agreement(
-                ZX, a.factorization, b.factorization, f"route disagreement between {a.route} and {b.route}"
+                ZX, direct, run.factorization, f"route disagreement between direct and {run.route}"
             )
-        return CompareReport(tuple(runs), tuple((a.route, b.route) for a, b in pairs))
+        agreements = tuple(itertools.combinations((run.route for run in runs), 2))
+        return CompareReport(tuple(runs), agreements)

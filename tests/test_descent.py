@@ -1,6 +1,8 @@
 """Descent layer: the case-split decision procedure, certificates, and the
 descent factorizer, including broken-oracle diagnostics."""
 
+import random
+
 import pytest
 
 from locfactor.basefactor import (
@@ -21,9 +23,10 @@ from locfactor.errors import (
     OracleViolationError,
     PreconditionError,
 )
-from locfactor.localization import GeneratedSubmonoid, embed
+from locfactor.localization import Fraction, GeneratedSubmonoid, embed, transfer_prime_divides
 from locfactor.rings import ZX, ZXY, ZZ
 from locfactor.routes import OVER_Z, OVER_ZX, ConstantPrimesOracle, LaurentOracle, powers_of_x_submonoid
+from locfactor.selftest import rand_bivariate, rand_zx
 
 
 @pytest.fixture
@@ -82,10 +85,14 @@ class TestCertifyPrime:
 
     def test_content_outside_the_submonoid_is_not_prime(self):
         """3*X + 3 is not prime in Z[1/2][X], nor X*Y in Z[X][1/2][Y]: the
-        constant-primes oracle refuses both, and certifies X + 1 and Y."""
+        constant-primes oracle refuses both, and certifies X + 1 and Y.
+        2*X + 2 is prime, and a constant, a unit over the fraction field, is
+        not."""
         S = GeneratedSubmonoid(ZX, [ZX.from_int(2)])
         oracle = ConstantPrimesOracle(S, OVER_Z, kronecker_factor)
         assert not oracle.is_prime_embedded(ZX.make([3, 3]))
+        assert oracle.is_prime_embedded(ZX.make([2, 2]))
+        assert not oracle.is_prime_embedded(ZX.from_int(3))
         with pytest.raises(OracleViolationError):
             certify_prime(ZX.make([3, 3]), S, oracle)
         assert certify_prime(ZX.make([1, 1]), S, oracle).replay()
@@ -93,6 +100,7 @@ class TestCertifyPrime:
         oracle_y = ConstantPrimesOracle(SY, OVER_ZX, factor_bivariate)
         xy = ZXY.make([ZX.zero, ZX.gen])
         assert not oracle_y.is_prime_embedded(xy)
+        assert not oracle_y.is_prime_embedded(ZXY.constant(ZX.gen))
         with pytest.raises(OracleViolationError):
             certify_prime(xy, SY, oracle_y)
         assert certify_prime(ZXY.gen, SY, oracle_y).replay()
@@ -192,3 +200,75 @@ class TestBaseEngineOracle:
         assert not oracle.is_prime_embedded(4)  # strips to a unit
         assert not oracle.is_prime_embedded(15)
         assert not oracle.is_prime_embedded(0)
+
+
+class FactorFractionOnly(LocalizationOracle):
+    """Z localized at S, by a subclass that implements ``factor_fraction``
+    alone: the generator primes go into the unit fraction."""
+
+    name = "Z localized, factor_fraction only"
+
+    def __init__(self, S):
+        self.S = S
+
+    def factor_fraction(self, x):
+        pf = factor_integer(x.num)
+        unit, primes = pf.unit, []
+        for q in pf.factors:
+            if q in self.S.generators:
+                unit *= q
+            else:
+                primes.append(embed(q, self.S))
+        return Fraction(unit, x.den), tuple(primes)
+
+
+class TestDerivedOracleMethods:
+    """Primality and divisibility in S^-1 R follow from ``factor_fraction``."""
+
+    def test_factor_fraction_alone_drives_the_descent(self, s2):
+        oracle = FactorFractionOnly(s2)
+        assert certify_prime(2, s2, oracle).case == "generator"
+        cert = certify_prime(3, s2, oracle)
+        assert cert.case == "localization" and cert.replay()
+        res = descend_factor(-24, s2, oracle)
+        assert res.factorization.unit == -1 and res.factorization.factors == (2, 2, 2, 3)
+        assert [c.case for c in res.certificates] == ["generator"] * 3 + ["localization"]
+        assert all(c.replay() for c in res.certificates)
+        assert transfer_prime_divides(s2, 3, 6, 5, oracle) == ("left", 2)
+        assert transfer_prime_divides(s2, 3, 5, 12, oracle) == ("right", 4)
+        with pytest.raises(OracleViolationError, match="or p is not irreducible"):
+            certify_prime(9, s2, oracle)
+
+    @pytest.mark.parametrize(
+        "S, R, engine, rand",
+        [
+            (GeneratedSubmonoid(ZX, [ZX.from_int(2), ZX.from_int(3)]), OVER_Z, kronecker_factor, rand_zx),
+            (GeneratedSubmonoid(ZXY, [ZXY.constant(ZX.from_int(2)), ZXY.constant(ZX.gen)]),
+             OVER_ZX, factor_bivariate, rand_bivariate),
+        ],
+        ids=["ZX", "ZXY"],
+    )
+    def test_divides_witness_on_random_pairs(self, S, R, engine, rand):
+        """s.value * y == x * c whenever a witness is found; when none is,
+        x does not divide its own generator part times y in R."""
+        rng = random.Random(f"derived-divides-{S.ring.name}")
+        ring = S.ring
+        oracle = ConstantPrimesOracle(S, R, engine)
+        found = 0
+        for _ in range(40):
+            x0 = rand(rng, nonzero=True)
+            sx = S.member([rng.randint(0, 2) for _ in S.generators])
+            x = ring.mul(sx.value, x0)
+            if rng.random() < 0.5:
+                sy = S.member([rng.randint(0, 2) for _ in S.generators])
+                y = ring.mul(ring.mul(sy.value, x0), rand(rng, nonzero=True))
+            else:
+                y = rand(rng)
+            w = oracle.divides(embed(x, S), embed(y, S))
+            if w is None:
+                assert ring.exact_div(ring.mul(sx.value, y), x) is None
+                continue
+            found += 1
+            s, c = w
+            assert ring.eq(ring.mul(s.value, y), ring.mul(x, c))
+        assert found >= 20

@@ -5,7 +5,7 @@ import pytest
 
 from locfactor.basefactor import factor_bivariate, factor_integer, factor_poly_zx, kronecker_factor
 from locfactor.descent import BaseEngineOracle
-from locfactor.errors import OracleViolationError, PreconditionError
+from locfactor.errors import MathDomainError, OracleViolationError, PreconditionError
 from locfactor.localization import (
     Fraction,
     GeneratedSubmonoid,
@@ -23,7 +23,7 @@ from locfactor.localization import (
     transfer_prime_divides,
     witness_multiset,
 )
-from locfactor.rings import ZX, ZXY, ZZ
+from locfactor.rings import LT, ZX, ZXY, ZZ
 from locfactor.routes import OVER_Z, OVER_ZX, ConstantPrimesOracle, LaurentOracle, powers_of_x_submonoid
 from locfactor.selftest import brute_force_avoids
 
@@ -223,6 +223,13 @@ class TestTransferIrreducible:
         cert = transfer_irreducible(s2, 3)
         with pytest.raises(PreconditionError):
             cert.refute(embed(5, s2), embed(1, s2))
+
+    def test_ring_with_no_irreducibility_oracle(self):
+        """Over Z[T,T^-1] irreducibility cannot be decided, so the transfer
+        refuses instead of certifying (T^2 + 1)^2."""
+        f = LT.from_poly(ZX.make([1, 0, 1]))
+        with pytest.raises(MathDomainError, match="no irreducibility oracle"):
+            transfer_irreducible(GeneratedSubmonoid(LT, []), LT.mul(f, f))
 
 
 class TestTransferPrimeDivides:

@@ -177,13 +177,13 @@ class TestOracleEngineBinding:
     def test_fraction_field_route(self, monkeypatch):
         callers = self._count_callers(monkeypatch, "kronecker_factor")
         factor_zx_via_fraction_field(ZX.make([-2, 0, 2]))  # 2(X-1)(X+1)
-        assert callers == Counter({"factor_fraction": 1, "is_prime_embedded": 2})
+        assert callers == Counter({"factor_fraction": 3})
 
     def test_iterated_route(self, monkeypatch):
         callers = self._count_callers(monkeypatch, "factor_bivariate")
         x2 = ZX.make([0, 0, 2])
         factor_iterated(ZXY.make([ZX.neg(x2), ZX.zero, x2]))  # 2X^2(Y-1)(Y+1)
-        assert callers == Counter({"factor_iterated": 1, "factor_fraction": 1, "is_prime_embedded": 2})
+        assert callers == Counter({"factor_iterated": 1, "factor_fraction": 3})
 
 
 class TestCompareRoutes:
@@ -204,6 +204,21 @@ class TestCompareRoutes:
         for run in report.runs:
             assert run.factorization.factors == ()
         assert len(report.agreements) == 3
+
+    def test_each_descent_route_is_checked_against_the_direct_engine(self, monkeypatch):
+        """Agreement is an equivalence: compare checks two pairs and reports
+        three, after one check inside each descent route."""
+        calls = []
+        original = routes.check_factorization_unique
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(routes, "check_factorization_unique", counting)
+        report = compare_routes(ZX.make([-2, 0, 2]))  # 2(X-1)(X+1)
+        assert len(calls) == 4
+        assert report.agreements == (("direct", "laurent"), ("direct", "fracfield"), ("laurent", "fracfield"))
 
     def test_random_agreement(self):
         rng = random.Random("routes-compare")
