@@ -9,7 +9,10 @@ The package is organized bottom-up:
                       substitution).  An integer with a probable-prime
                       cofactor above the Miller-Rabin exact bound
                       (~3.3 * 10**24) is refused as desk-scale (exit 2)
-* ``localization`` -- prime-generated submonoids, fractions, transfer algorithms
+* ``localization`` -- prime-generated submonoids, fractions and the ring
+                      S^-1 R they form (``LocalizationRing``), with
+                      ``LT`` = Z[T,T^-1], Z[X] at the powers of X; the
+                      transfer algorithms
 * ``descent``      -- primality certificates and the descent factorizer
 * ``routes``       -- Laurent / fraction-field / bivariate routes; the Laurent
                       oracle, computed in Z[X], and one constant-primes oracle
@@ -56,8 +59,10 @@ _EXPORTS = {
     ),
     "expr": ("parse_expr", "render"),
     "localization": (
+        "LT",
         "Fraction",
         "GeneratedSubmonoid",
+        "LocalizationRing",
         "SMember",
         "avoids",
         "clear_denominator",
@@ -73,17 +78,7 @@ _EXPORTS = {
         "transfer_prime_divides",
         "witness_multiset",
     ),
-    "rings": (
-        "LT",
-        "ZX",
-        "ZXY",
-        "ZZ",
-        "Laurent",
-        "Poly",
-        "Ring",
-        "laurent_to_poly",
-        "strip_var_power",
-    ),
+    "rings": ("ZX", "ZXY", "ZZ", "Poly", "Ring"),
     "routes": (
         "compare_routes",
         "factor_iterated",

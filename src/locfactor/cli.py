@@ -29,7 +29,7 @@ from .basefactor import (
     request_memo,
 )
 from .errors import LocFactorError, OracleViolationError, ParseError
-from .rings import LT, ZX, ZXY, ZZ, Ring
+from .rings import ZX, ZXY, ZZ, Ring
 
 JSON_SCHEMA_VERSION = "1"
 
@@ -111,13 +111,6 @@ def run_factor(ring: Ring, element, route: str) -> FactorOutcome:
                 pf, certs = res.factorization, res.certificates
             else:
                 route, pf = "direct", factor_poly_zx(element)
-        elif ring == LT:
-            if route == "fracfield":
-                raise UsageError("route 'fracfield' is not available for Laurent input")
-            from . import routes
-
-            route, res = "laurent", routes.factor_laurent(element)
-            pf, certs = res.factorization, res.certificates
         elif ring == ZXY:
             if route in ("auto", "fracfield"):
                 from . import routes
@@ -128,8 +121,13 @@ def run_factor(ring: Ring, element, route: str) -> FactorOutcome:
                 pf = factor_bivariate(element)
             else:
                 raise UsageError(f"route {route!r} is not available for bivariate input")
-        else:
-            raise UsageError(f"cannot factor over {ring.name}")
+        else:  # Laurent input
+            if route == "fracfield":
+                raise UsageError("route 'fracfield' is not available for Laurent input")
+            from . import routes
+
+            route, res = "laurent", routes.factor_laurent(element)
+            pf, certs = res.factorization, res.certificates
     elapsed = time.perf_counter() - t0
     return FactorOutcome(ring, route, pf, certs, elapsed, _rendered(ring, (pf.unit, *pf.factors)))
 

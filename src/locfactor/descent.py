@@ -240,5 +240,7 @@ class BaseEngineOracle(LocalizationOracle):
                 unit_num = ring.mul(unit_num, hit[1])
             else:
                 primes.append(Fraction(q, S.one_member()))
-        unit_frac = Fraction(ring.mul(unit_num, S.member(exps).value), x.den)
+        if any(exps):
+            unit_num = ring.mul(unit_num, S.member(exps).value)
+        unit_frac = Fraction(unit_num, x.den)
         return (unit_frac, tuple(primes))

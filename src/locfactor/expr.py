@@ -30,7 +30,7 @@ in all.
 from __future__ import annotations
 
 from .errors import DeskScaleError, ParseError
-from .rings import LT, ZX, ZXY, ZZ, Element, Poly, Ring
+from .rings import ZX, ZXY, ZZ, Element, Poly, Ring
 
 _VARS = ("X", "Y", "T")
 
@@ -225,7 +225,8 @@ def _parse(text: str) -> tuple[object, set]:
 
 
 def _size_reach(node) -> tuple[int, int, int, int, int]:
-    """Upper bounds on the X- and Y-degrees and on log2 of the 1-norm of
+    """Upper bounds on the X- and Y-degrees (T counts as X, T^-k as X^k:
+    Laurent values are Z[X] fractions) and on log2 of the 1-norm of
     every value evaluating node builds, the total dense size of the terms
     its sums add up, and the largest product of exponents along a chain of
     nested powers.  Degrees: sums take the larger, products add, powers
@@ -240,8 +241,8 @@ def _size_reach(node) -> tuple[int, int, int, int, int]:
     op = node[0]
     if op == "int":
         return (0, 0, abs(node[1]).bit_length(), 0, 1)
-    if op == "var":
-        return (int(node[1] == "X"), int(node[1] == "Y"), 0, 0, 1)
+    if op == "var":  # T is charged as X is: it builds the same dense polynomials
+        return (int(node[1] != "Y"), int(node[1] == "Y"), 0, 0, 1)
     if op == "neg":
         return _size_reach(node[1])
     if op in ("sum", "mul"):
@@ -258,7 +259,7 @@ def _size_reach(node) -> tuple[int, int, int, int, int]:
             summed += (dx + 1) * (dy + 1)
         return (*(sum(r[k] for r in reach) for k in range(3)), summed, power)
     if op == "pow":
-        # x^0 still evaluates x; only T takes a negative power, and T has size 0
+        # x^0 still evaluates x; T^-k builds the denominator X^k
         e = max(abs(node[2]), 1)
         dx, dy, bits, summed, power = _size_reach(node[1])
         return (dx * e, dy * e, bits * e, summed, power * e)
@@ -269,6 +270,8 @@ def _infer_ring(variables: set) -> Ring:
     if "T" in variables:
         if variables - {"T"}:
             raise ParseError("T cannot be mixed with X or Y")
+        from .localization import LT  # loaded with Laurent input alone
+
         return LT
     if "Y" in variables:
         return ZXY
@@ -292,20 +295,21 @@ def _evaluate(node, ring: Ring, env: dict) -> Element:
             acc = combine(acc, _evaluate(child, ring, env))
         return acc
     if op == "pow":
-        if node[2] < 0:
-            return LT.t_power(node[2])
-        return ring.pow(_evaluate(node[1], ring, env), node[2])
+        base, k = _evaluate(node[1], ring, env), node[2]
+        if k < 0:  # only T, a unit, takes one: (T^-1)^k, over the one denominator X^k
+            base, k = ring.unit_inverse(base), -k
+        return ring.pow(base, k)
     raise ParseError(f"unknown node {op!r}")
 
 
 def _env_for(ring: Ring) -> dict:
+    if ring == ZZ:
+        return {}
     if ring == ZX:
         return {"X": ZX.gen}
-    if ring == LT:
-        return {"T": LT.t_power(1)}
     if ring == ZXY:
         return {"X": ZXY.constant(ZX.gen), "Y": ZXY.gen}
-    return {}
+    return {ring.var: ring.fraction((1,), ZX.one)}  # the Laurent ring: T is X^1
 
 
 def parse_expr(text: str) -> tuple[Ring, Element]:
@@ -324,8 +328,9 @@ def parse_expr(text: str) -> tuple[Ring, Element]:
         )
     terms = (dx + 1) * (dy + 1)
     if terms > DENSE_TERMS_CAP:
+        x = "T" if "T" in variables else "X"
         raise DeskScaleError(
-            f"desk-scale limit: degrees up to {dx} in X and {dy} in Y need "
+            f"desk-scale limit: degrees up to {dx} in {x} and {dy} in Y need "
             f"{terms} dense coefficients, over {DENSE_TERMS_CAP}"
         )
     if terms * bits > DENSE_BITS_CAP:
@@ -388,7 +393,7 @@ def _scalar_term(c, var: str, k: int) -> tuple[bool, str]:
 
 def _render_scalar_poly(p: Poly, var: str, low: int = 0) -> str:
     """The terms c*var^(low + k) of p, highest first; low shifts the powers
-    of a Laurent element's body."""
+    of the residue of a Laurent element's normal form."""
     terms = []
     for k in range(len(p.coeffs) - 1, -1, -1):
         c = p.coeffs[k]
@@ -435,8 +440,7 @@ def render(ring: Ring, a: Element) -> str:
         return str(a)
     if ring == ZX:
         return _render_scalar_poly(a, ring.var)
-    if ring == LT:
-        return _render_scalar_poly(a.body, "T", a.low)
     if ring == ZXY:
         return _render_bivariate(a)
-    return repr(a)
+    (low,), body = ring.normal_form(a)  # the Laurent ring: T^low * body
+    return _render_scalar_poly(body, ring.var, low)

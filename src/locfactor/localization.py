@@ -5,7 +5,9 @@ membership is witness-carried: an ``SMember`` stores the exponent vector that
 exhibits its value as a product of generators, so producing the prime multiset
 of a denominator is total and trivially correct.  Fractions over a submonoid
 are unreduced; equality is cross-multiplication, which is exactly the fraction
-relation of a domain localization.
+relation of a domain localization.  ``LocalizationRing`` makes them a ring,
+S^-1 R, and ``LT`` is the Laurent ring Z[T,T^-1]: Z[X] localized at the
+powers of X.
 
 The transfer algorithms peel prime multisets: ``clear_denominator`` /
 ``lift_dvd`` / ``split_prime_factors`` / ``transfer_prime_divides``.  They
@@ -18,8 +20,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from . import basefactor
-from .errors import OracleViolationError, PreconditionError
-from .rings import Element, Ring
+from .errors import MathDomainError, OracleViolationError, PreconditionError
+from .rings import ZX, Element, Ring
 
 
 def _require_irreducible(ring: Ring, p: Element) -> None:
@@ -48,12 +50,13 @@ class GeneratedSubmonoid:
                 raise PreconditionError(f"submonoid generator {gn!r} is not prime")
             canon.append(gn)
         self.generators = tuple(canon)
+        self._one = SMember(self, (0,) * len(canon))
 
     def member(self, exponents) -> "SMember":
         return SMember(self, tuple(exponents))
 
     def one_member(self) -> "SMember":
-        return SMember(self, (0,) * len(self.generators))
+        return self._one
 
     def strip(self, a: Element) -> tuple[tuple, Element]:
         """Divide out every generator as often as possible.
@@ -87,30 +90,45 @@ class GeneratedSubmonoid:
 
 
 class SMember:
-    """A submonoid element together with its exponent-vector witness."""
+    """A submonoid element together with its exponent-vector witness; its
+    value, the product of the generator powers, is computed on first use."""
 
-    __slots__ = ("submonoid", "exponents", "value")
+    __slots__ = ("submonoid", "exponents", "_value")
 
     def __init__(self, submonoid: GeneratedSubmonoid, exponents: tuple):
         if len(exponents) != len(submonoid.generators):
             raise PreconditionError("exponent vector length does not match the generators")
         if any(e < 0 for e in exponents):
             raise PreconditionError("exponents must be nonnegative")
-        ring = submonoid.ring
-        value = ring.one
-        for g, e in zip(submonoid.generators, exponents):
-            if e:
-                value = ring.mul(value, ring.pow(g, e))
         object.__setattr__(self, "submonoid", submonoid)
         object.__setattr__(self, "exponents", tuple(exponents))
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_value", None)
 
     def __setattr__(self, name, v):
         raise AttributeError("SMember is immutable")
 
+    def __eq__(self, other):
+        return (isinstance(other, SMember) and other.submonoid is self.submonoid
+                and other.exponents == self.exponents)
+
+    def __hash__(self):
+        return hash(self.exponents)
+
+    @property
+    def value(self) -> Element:
+        if self._value is None:
+            ring = self.submonoid.ring
+            powers = (ring.pow(g, e) for g, e in zip(self.submonoid.generators, self.exponents) if e)
+            object.__setattr__(self, "_value", ring.prod(powers))
+        return self._value
+
     def mul(self, other: "SMember") -> "SMember":
         if other.submonoid is not self.submonoid:
             raise PreconditionError("members of different submonoids")
+        if not any(other.exponents):
+            return self
+        if not any(self.exponents):
+            return other
         return SMember(
             self.submonoid,
             tuple(a + b for a, b in zip(self.exponents, other.exponents)),
@@ -148,6 +166,8 @@ def _same_submonoid(x: Fraction, y: Fraction) -> GeneratedSubmonoid:
 def frac_eq(x: Fraction, y: Fraction) -> bool:
     S = _same_submonoid(x, y)
     ring = S.ring
+    if x.den == y.den:
+        return ring.eq(x.num, y.num)
     return ring.eq(ring.mul(x.num, y.den.value), ring.mul(y.num, x.den.value))
 
 
@@ -157,10 +177,19 @@ def frac_mul(x: Fraction, y: Fraction) -> Fraction:
 
 
 def frac_add(x: Fraction, y: Fraction) -> Fraction:
+    """Sum over the least common denominator, whose exponents are the
+    componentwise larger ones: over the product of the denominators, a sum
+    of n copies of T^-k would build the denominator T^(n*k)."""
     S = _same_submonoid(x, y)
     ring = S.ring
-    num = ring.add(ring.mul(x.num, y.den.value), ring.mul(y.num, x.den.value))
-    return Fraction(num, x.den.mul(y.den))
+    if x.den == y.den:
+        return Fraction(ring.add(x.num, y.num), x.den)
+    lcd = tuple(max(a, b) for a, b in zip(x.den.exponents, y.den.exponents))
+
+    def lifted(z: Fraction) -> Element:
+        return ring.mul(z.num, S.member(tuple(m - e for m, e in zip(lcd, z.den.exponents))).value)
+
+    return Fraction(ring.add(lifted(x), lifted(y)), S.member(lcd))
 
 
 def frac_is_unit(x: Fraction) -> bool:
@@ -170,6 +199,82 @@ def frac_is_unit(x: Fraction) -> bool:
         return False
     _, residual = S.strip(x.num)
     return S.ring.is_unit(residual)
+
+
+class LocalizationRing(Ring):
+    """S^-1 R for a prime-generated submonoid S of R, on the ``Fraction``
+    values over S, with the fraction arithmetic above as its ring operations.
+
+    ``normal_form`` writes an element as prod(g_i^e_i) * r with every e_i in
+    Z and no generator dividing r.  The generators are primes of a domain, so
+    two fractions are equal exactly when their normal forms are; the rest of
+    the ring contract is read off that form.  ``var`` is the name the
+    element prints its generator under.
+    """
+
+    eq = staticmethod(frac_eq)
+    add = staticmethod(frac_add)
+    mul = staticmethod(frac_mul)
+    is_unit = staticmethod(frac_is_unit)
+
+    def __init__(self, S: GeneratedSubmonoid, name: str, var: str):
+        self.S = S
+        self.name = name
+        self.var = var
+        self.zero = embed(S.ring.zero, S)
+        self.one = embed(S.ring.one, S)
+
+    def normal_form(self, a: Fraction) -> tuple[tuple, Element]:
+        """(e, r) with a == prod(g_i^e_i) * r, e_i in Z, no generator dividing
+        r; zero has every e_i == 0."""
+        exps, r = self.S.strip(a.num)
+        if self.S.ring.is_zero(r):
+            return exps, r
+        return tuple(e - d for e, d in zip(exps, a.den.exponents)), r
+
+    def fraction(self, exps, r: Element) -> Fraction:
+        """The element prod(g_i^e_i) * r: the inverse of ``normal_form``."""
+        S = self.S
+        if any(e > 0 for e in exps):
+            r = S.ring.mul(S.member(tuple(max(e, 0) for e in exps)).value, r)
+        return Fraction(r, S.member(tuple(max(-e, 0) for e in exps)))
+
+    def is_zero(self, a):
+        return self.S.ring.is_zero(a.num)
+
+    def neg(self, a):
+        return Fraction(self.S.ring.neg(a.num), a.den)
+
+    def pow(self, a, n):
+        if n < 0:
+            raise MathDomainError("negative exponent")
+        return Fraction(self.S.ring.pow(a.num, n), self.S.member(tuple(e * n for e in a.den.exponents)))
+
+    def exact_div(self, a, b):
+        """The generators are units, so a divides b exactly when the
+        residues of their normal forms do in R."""
+        (ea, ra), (eb, rb) = self.normal_form(a), self.normal_form(b)
+        q = self.S.ring.exact_div(ra, rb)
+        return None if q is None else self.fraction(tuple(x - y for x, y in zip(ea, eb)), q)
+
+    def canonical_associate(self, a):
+        exps, r = self.normal_form(a)
+        u, n = self.S.ring.canonical_associate(r)
+        return self.fraction(exps, u), embed(n, self.S)
+
+    def from_int(self, n):
+        return embed(self.S.ring.from_int(n), self.S)
+
+    def sort_key(self, a):
+        exps, r = self.normal_form(a)
+        return (exps, self.S.ring.sort_key(r))
+
+    def signature(self):
+        return ("localization", self.S.ring.signature(), self.S.generators)
+
+
+# the Laurent ring: Z[X] localized at the powers of X, printed in T
+LT = LocalizationRing(GeneratedSubmonoid(ZX, [ZX.gen]), "Z[T,T^-1]", "T")
 
 
 def find_associate_generator(

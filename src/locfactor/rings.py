@@ -1,11 +1,12 @@
 """Exact arithmetic kernel.
 
-Every value is immutable and exact: Python integers, dense polynomials
-(lowest degree first, no trailing zeros) and Laurent polynomials over the
-integers.  A ring is an object implementing the uniform contract below; all
-higher layers program against that contract instead of concrete value types,
-which is what lets the same transfer and descent algorithms run over Z, Z[X],
-Z[X][Y] and the Laurent ring unchanged.
+Every value is immutable and exact: Python integers and dense polynomials
+(lowest degree first, no trailing zeros).  A ring is an object implementing
+the uniform contract below; all higher layers program against that contract
+instead of concrete value types, which is what lets the same transfer and
+descent algorithms run over Z, Z[X] and Z[X][Y] unchanged, and over the
+Laurent ring, which ``localization`` builds as Z[X] localized at the powers
+of X.
 
 Canonical associate conventions (one normal form per associate class):
 
@@ -13,8 +14,6 @@ Canonical associate conventions (one normal form per associate class):
 * C[X]    -- leading coefficient in canonical form of C (so Z[X] gets a
              positive leading coefficient, and so does the leading
              coefficient of a Z[X][Y] element)
-* Laurent -- unit is +-T^k, normal has exponent offset 0 and positive
-             leading coefficient
 """
 
 from __future__ import annotations
@@ -73,22 +72,22 @@ class Ring:
         raise NotImplementedError
 
     def prod(self, elems) -> Element:
-        acc = self.one
+        acc = None  # no product with one
         for e in elems:
-            acc = self.mul(acc, e)
-        return acc
+            acc = e if acc is None else self.mul(acc, e)
+        return self.one if acc is None else acc
 
     def pow(self, a: Element, n: int) -> Element:
         if n < 0:
             raise MathDomainError("negative exponent")
-        acc = self.one
-        while n:  # square and multiply
+        acc = None
+        while n:  # square and multiply, with no product with one
             if n & 1:
-                acc = self.mul(acc, a)
+                acc = a if acc is None else self.mul(acc, a)
             n >>= 1
             if n:
                 a = self.mul(a, a)
-        return acc
+        return self.one if acc is None else acc
 
     def sort_key(self, a: Element):
         """Total order used for deterministic factor ordering."""
@@ -194,11 +193,6 @@ class PolynomialRing(Ring):
 
     def constant(self, c: Element) -> Poly:
         return self.make((c,))
-
-    def monomial(self, k: int, c: Element | None = None) -> Poly:
-        if c is None:
-            c = self.coeff.one
-        return self.make([self.coeff.zero] * k + [c])
 
     def degree(self, a: Poly) -> int:
         if not a.coeffs:
@@ -360,117 +354,9 @@ def zx_exact_div_coeffs(a, b) -> Optional[list[int]]:
     return None if any(rem[:db]) else q
 
 
-class Laurent:
-    """Laurent polynomial value: body * T^low.
-
-    Nonzero values keep a body with nonzero constant coefficient; zero is
-    (low=0, empty body).
-    """
-
-    __slots__ = ("low", "body")
-
-    def __init__(self, low: int, body: Poly):
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "body", body)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Laurent is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Laurent) and self.low == other.low and self.body == other.body
-
-    def __hash__(self):
-        return hash(("Laurent", self.low, self.body))
-
-    def __repr__(self):
-        return f"Laurent(low={self.low}, body={self.body!r})"
-
-
-class LaurentRing(Ring):
-    """Z[T, T^-1]; units are +-T^k."""
-
-    name = "Z[T,T^-1]"
-
-    def __init__(self, var: str = "T"):
-        self.var = var
-        self.poly = IntegerPolynomialRing(var)
-        self.zero = Laurent(0, Poly(()))
-        self.one = Laurent(0, Poly((1,)))
-
-    def make(self, low: int, coeffs) -> Laurent:
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            return self.zero
-        while cs[0] == 0:
-            cs.pop(0)
-            low += 1
-        return Laurent(low, Poly(cs))
-
-    def from_poly(self, p: Poly) -> Laurent:
-        return self.make(0, p.coeffs)
-
-    def t_power(self, k: int, sign: int = 1) -> Laurent:
-        return Laurent(k, Poly((sign,)))
-
-    def add(self, a, b):
-        if not a.body.coeffs:
-            return b
-        if not b.body.coeffs:
-            return a
-        low = min(a.low, b.low)
-        n = max(a.low + len(a.body.coeffs), b.low + len(b.body.coeffs)) - low
-        out = [0] * n
-        for i, c in enumerate(a.body.coeffs):
-            out[a.low - low + i] += c
-        for i, c in enumerate(b.body.coeffs):
-            out[b.low - low + i] += c
-        return self.make(low, out)
-
-    def neg(self, a):
-        return Laurent(a.low, self.poly.neg(a.body))
-
-    def mul(self, a, b):
-        if not a.body.coeffs or not b.body.coeffs:
-            return self.zero
-        return Laurent(a.low + b.low, self.poly.mul(a.body, b.body))
-
-    def exact_div(self, a, b):
-        if not b.body.coeffs:
-            raise MathDomainError("division by zero")
-        if not a.body.coeffs:
-            return self.zero
-        q = self.poly.exact_div(a.body, b.body)
-        if q is None:
-            return None
-        return self.make(a.low - b.low, q.coeffs)
-
-    def is_unit(self, a):
-        return a.body.coeffs == (1,) or a.body.coeffs == (-1,)
-
-    def canonical_associate(self, a):
-        if not a.body.coeffs:
-            return (self.one, a)
-        sign = 1 if a.body.coeffs[-1] > 0 else -1
-        unit = Laurent(a.low, Poly((sign,)))
-        normal = Laurent(0, self.poly.mul(Poly((sign,)), a.body))
-        return (unit, normal)
-
-    def from_int(self, n):
-        return self.make(0, (n,))
-
-    def sort_key(self, a):
-        return (a.low, len(a.body.coeffs) - 1, a.body.coeffs)
-
-    def signature(self):
-        return ("laurent", self.var)
-
-
 ZZ = IntegerRing()
 ZX = IntegerPolynomialRing("X")
 ZXY = PolynomialRing(ZX, "Y")
-LT = LaurentRing("T")
 
 
 def poly_content(p: Poly) -> int:
@@ -536,22 +422,3 @@ def poly_gcd_z(a: Poly, b: Poly) -> Poly:
             r = [x // c for x in r]
         a, b = b, r
     return Poly(tuple(math.gcd(ca, cb) * x for x in a))
-
-
-def strip_var_power(p: Poly) -> tuple[int, Poly]:
-    """Write p = X^m * q with q(0) != 0."""
-    if not p.coeffs:
-        raise MathDomainError("zero polynomial")
-    m = 0
-    while p.coeffs[m] == 0:
-        m += 1
-    return m, Poly(p.coeffs[m:])
-
-
-def laurent_to_poly(f: Laurent) -> tuple[int, Poly]:
-    """Smallest n >= 0 with f * T^n polynomial; returns (n, that polynomial)."""
-    if not f.body.coeffs:
-        return 0, ZX.zero
-    n = max(0, -f.low)
-    shift = f.low + n
-    return n, ZX.make([0] * shift + list(f.body.coeffs))

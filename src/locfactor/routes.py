@@ -4,8 +4,9 @@ Three structurally different ways to factor over Z[X], cross-checked against
 each other:
 
 * direct        -- ``factor_poly_zx`` (content + Zassenhaus), no localization
-* laurent       -- localize at the powers of X, the Laurent ring, computed in
-                   Z[X]; the descent layer pulls factors back
+* laurent       -- localize at the powers of X, the Laurent ring
+                   ``localization.LT``, computed in Z[X]; the descent layer
+                   pulls factors back
 * fraction field-- localize at the constant primes that actually occur
                    and compare with Q[X]
 
@@ -45,26 +46,12 @@ from .basefactor import (
 from .descent import BaseEngineOracle, DescentResult, LocalizationOracle, descend_factor
 from .descent import certify_prime  # unused; a benchmark test reads it (ROADMAP item 1)
 from .errors import MathDomainError, OracleViolationError
-from .localization import Fraction, GeneratedSubmonoid
-from .rings import (
-    LT,
-    ZX,
-    ZXY,
-    Laurent,
-    Poly,
-    laurent_to_poly,
-    poly_primitive,
-    strip_var_power,
-    zxy_primitive,
-)
+from .localization import LT, Fraction, GeneratedSubmonoid, embed
+from .rings import ZX, ZXY, Poly, poly_primitive, zxy_primitive
 
 
 # ---------------------------------------------------------------------------
 # Laurent ring
-
-def powers_of_x_submonoid() -> GeneratedSubmonoid:
-    return GeneratedSubmonoid(ZX, [ZX.gen])
-
 
 class LaurentOracle(BaseEngineOracle):
     """Localization of Z[X] at the powers of X, the Laurent ring, computed in
@@ -114,27 +101,24 @@ def factor_zx_via_laurent(f: Poly) -> DescentResult:
     this is the same ``descend_factor`` that the other routes run.
     """
     with request_memo():
-        S = powers_of_x_submonoid()
-        return _descend_checked(f, S, LaurentOracle(S, factor_poly_zx))
+        return _descend_checked(f, LT.S, LaurentOracle(LT.S, factor_poly_zx))
 
 
-def factor_laurent(f: Laurent) -> DescentResult:
+def factor_laurent(f: Fraction) -> DescentResult:
     """Factor a Laurent polynomial by the Laurent route; the unit absorbs
     the sign and all T powers.
 
-    T^n * f == T^m * q with q(0) != 0, and the factors of q in Z[X] by
-    ``factor_zx_via_laurent`` are the Laurent factors of f, each with its
-    certificate: it avoids the powers of T and is prime in the Laurent ring.
+    f == T^e * r with r(0) != 0 (``LT.normal_form``), and the factors of r
+    in Z[X] by ``factor_zx_via_laurent`` are the Laurent factors of f, each
+    with its certificate: it avoids the powers of T and is prime in the
+    Laurent ring.
     """
-    if LT.is_zero(f):
-        raise MathDomainError("cannot factor zero")
-    n, p = laurent_to_poly(f)
-    m, q = strip_var_power(p)
-    res = factor_zx_via_laurent(q)
+    (e,), r = LT.normal_form(f)
+    res = factor_zx_via_laurent(r)
     pf = res.factorization
-    unit = Laurent(m - n, Poly((pf.unit.coeffs[0],)))
-    # Z[X] order is Laurent order at T^0, so the certificates stay aligned
-    out = PrimeFactorization(unit, tuple(LT.from_poly(r) for r in pf.factors))
+    # no factor is X, so the unit is +-1; Z[X] order is Laurent order at T^0,
+    # so the certificates stay aligned
+    out = PrimeFactorization(LT.fraction((e,), pf.unit), tuple(embed(q, LT.S) for q in pf.factors))
     if not LT.eq(out.value(LT), f):
         raise OracleViolationError("factor_laurent reconstruction failed")
     return DescentResult(out, res.certificates)

@@ -229,6 +229,34 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith("error: desk-scale limit: degrees up to")
         assert main(["factor", "(X^10)^10 - X^100 + X^2 - 1"]) == 0  # 101 coefficients
 
+    def test_laurent_degree_cap(self, capsys):
+        # T was charged no degree, so this product (1,999 characters) had
+        # run over 60 s before the engine's degree cap refused it; T now
+        # counts as X does, and T^-k as X^k
+        t0 = time.monotonic()
+        assert main(["factor", "*".join(["(T+1)^100"] * 200)]) == 2
+        assert time.monotonic() - t0 < 1
+        assert capsys.readouterr().err == (
+            "error: desk-scale limit: degrees up to 20000 in T and 0 in Y need "
+            "20001 dense coefficients, over 256\n"
+        )
+        assert main(["factor", "T^-100*T^-100*T^-55"]) == 0  # 256 dense coefficients
+        assert main(["factor", "T^-100*T^-100*T^-56"]) == 2
+
+    def test_long_laurent_sum(self, capsys):
+        # 1,000 terms T^-100 (8,997 characters, within every cap) add up
+        # over their one denominator X^100: over the product of the
+        # denominators the sum would build X^100000
+        t0 = time.monotonic()
+        assert main(["factor", " + ".join(["T^-100"] * 1000)]) == 0
+        assert time.monotonic() - t0 < 1
+        assert capsys.readouterr().out.splitlines()[3:] == [
+            "unit: T^-100",
+            "factors:",
+            "  2  (multiplicity 3)  [localization: avoids <X>; prime in Z[T,T^-1] factorization]",
+            "  5  (multiplicity 3)  [localization: avoids <X>; prime in Z[T,T^-1] factorization]",
+        ]
+
     def test_deep_nesting(self, capsys):
         # used to escape as a RecursionError traceback
         assert main(["factor", "(" * 3000 + "X" + ")" * 3000]) == 1

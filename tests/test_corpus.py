@@ -6,11 +6,12 @@ themselves, so a change to the benchmark's generators moves nothing here.
 They are the first 400 requests of each benchmark corpus (seed 1), twelve
 edge inputs on every route with no flag, ``--verbose`` and ``--json`` and
 under ``compare`` with and without ``--verbose``, one input per parser
-cap, two of them either side of the input-length cap, and one call per usage
-and parse error (no or an unknown subcommand, an unknown route or option, two
-expressions, a bad ``--seed``, an unknown variable or character, T mixed with
-X, a negative exponent on X), per bivariate degree cap and for a probable
-prime above the Miller-Rabin bound, so their texts stay byte-identical too.
+cap, two of them either side of the input-length cap, a Laurent product
+over the degree cap, and one call per usage and parse error (no or an
+unknown subcommand, an unknown route or option, two expressions, a bad
+``--seed``, an unknown variable or character, T mixed with X, a negative
+exponent on X), per bivariate degree cap and for a probable prime above the
+Miller-Rabin bound, so their texts stay byte-identical too.
 
 A change that alters output on purpose re-records the expected text with
 ``PYTHONPATH=src python tests/test_corpus.py`` and lists the calls whose

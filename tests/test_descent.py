@@ -23,9 +23,9 @@ from locfactor.errors import (
     OracleViolationError,
     PreconditionError,
 )
-from locfactor.localization import Fraction, GeneratedSubmonoid, embed, transfer_prime_divides
+from locfactor.localization import LT, Fraction, GeneratedSubmonoid, embed, transfer_prime_divides
 from locfactor.rings import ZX, ZXY, ZZ
-from locfactor.routes import OVER_Z, OVER_ZX, ConstantPrimesOracle, LaurentOracle, powers_of_x_submonoid
+from locfactor.routes import OVER_Z, OVER_ZX, ConstantPrimesOracle, LaurentOracle
 from locfactor.selftest import rand_bivariate, rand_zx
 
 
@@ -36,7 +36,7 @@ def s2():
 
 @pytest.fixture
 def sx():
-    return powers_of_x_submonoid()
+    return LT.S
 
 
 @pytest.fixture
@@ -79,7 +79,7 @@ class TestCertifyPrime:
         is refused by the oracle's denial, with the error naming both causes."""
         with pytest.raises(OracleViolationError, match="or p is not irreducible"):
             certify_prime(9, s2, BaseEngineOracle(s2, factor_integer))
-        sx = powers_of_x_submonoid()
+        sx = LT.S
         with pytest.raises(OracleViolationError, match="or p is not irreducible"):
             certify_prime(ZX.make([2, 0, 2]), sx, LaurentOracle(sx, factor_poly_zx))  # 2*X^2 + 2
 

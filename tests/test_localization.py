@@ -8,6 +8,7 @@ from locfactor.descent import BaseEngineOracle
 from locfactor.errors import MathDomainError, OracleViolationError, PreconditionError
 from locfactor.localization import (
     Fraction,
+    LT,
     GeneratedSubmonoid,
     avoids,
     clear_denominator,
@@ -23,8 +24,8 @@ from locfactor.localization import (
     transfer_prime_divides,
     witness_multiset,
 )
-from locfactor.rings import LT, ZX, ZXY, ZZ
-from locfactor.routes import OVER_Z, OVER_ZX, ConstantPrimesOracle, LaurentOracle, powers_of_x_submonoid
+from locfactor.rings import ZX, ZXY, ZZ
+from locfactor.routes import OVER_Z, OVER_ZX, ConstantPrimesOracle, LaurentOracle
 from locfactor.selftest import brute_force_avoids
 
 
@@ -40,7 +41,7 @@ def s23():
 
 @pytest.fixture
 def sx():
-    return powers_of_x_submonoid()
+    return LT.S
 
 
 class TestSubmonoid:
@@ -90,12 +91,15 @@ class TestFractions:
         assert frac_is_unit(embed(2, s2))
         assert frac_is_unit(embed(ZX.gen, sx))
 
-    def test_frac_ops(self, s2):
+    def test_frac_ops(self, s2, s23):
         x = frac_mul(Fraction(1, s2.member((1,))), Fraction(3, s2.member((2,))))
         assert (x.num, x.den.value) == (3, 8)
+        # sums are over the least common denominator
         y = frac_add(Fraction(1, s2.member((1,))), Fraction(1, s2.member((1,))))
-        assert (y.num, y.den.value) == (4, 4)
+        assert (y.num, y.den.value) == (2, 2)
         assert frac_eq(y, embed(1, s2))
+        w = frac_add(Fraction(1, s23.member((1, 0))), Fraction(5, s23.member((2, 1))))
+        assert (w.num, w.den.exponents) == (11, (2, 1))
         z = embed(7, s2)
         assert frac_eq(frac_mul(z, embed(1, s2)), z)
 
@@ -227,7 +231,7 @@ class TestTransferIrreducible:
     def test_ring_with_no_irreducibility_oracle(self):
         """Over Z[T,T^-1] irreducibility cannot be decided, so the transfer
         refuses instead of certifying (T^2 + 1)^2."""
-        f = LT.from_poly(ZX.make([1, 0, 1]))
+        f = embed(ZX.make([1, 0, 1]), LT.S)
         with pytest.raises(MathDomainError, match="no irreducibility oracle"):
             transfer_irreducible(GeneratedSubmonoid(LT, []), LT.mul(f, f))
 

@@ -15,7 +15,8 @@ from locfactor import basefactor, expr
 from locfactor.basefactor import kronecker_factor, request_memo
 from locfactor.cli import main, run_factor
 from locfactor.errors import DeskScaleError
-from locfactor.rings import LT, ZX, ZXY
+from locfactor.localization import LT
+from locfactor.rings import ZX, ZXY
 from locfactor.routes import compare_routes, factor_iterated, factor_zx_via_laurent
 
 # the uncached body behind each memoized engine
@@ -179,7 +180,7 @@ def _seeded_inputs(count: int) -> list:
     for i in range(count):
         if i % 10 == 8:
             body = ZX.make([rng.randint(-5, 5) for _ in range(rng.randint(2, 5))] + [1])
-            out.append(expr.render(LT, LT.mul(LT.from_poly(body), LT.t_power(-rng.randint(0, 3)))))
+            out.append(expr.render(LT, LT.fraction((-rng.randint(0, 3),), body)))
             continue
         if i % 10 == 9:
             lin = ZXY.make([ZX.make([rng.randint(-3, 3), rng.randint(1, 3)]), ZX.one])

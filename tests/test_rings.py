@@ -10,16 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locfactor.errors import MathDomainError
-from locfactor.rings import (
-    LT,
-    ZX,
-    ZXY,
-    ZZ,
-    PolynomialRing,
-    laurent_to_poly,
-    poly_gcd_z,
-    strip_var_power,
-)
+from locfactor.localization import LT, Fraction, embed
+from locfactor.rings import ZX, ZXY, ZZ, PolynomialRing, poly_gcd_z
 
 
 def naive_mul(a, b):
@@ -93,37 +85,49 @@ class TestPolynomialRing:
 
 
 class TestStripAndLaurent:
-    def test_strip_var_power(self):
-        m, q = strip_var_power(ZX.make([0, 0, 1, 1]))  # X^3 + X^2
-        assert (m, q) == (2, ZX.make([1, 1]))
-        assert naive_mul([0] * m + [1], list(q.coeffs)) == [0, 0, 1, 1]
-        assert strip_var_power(ZX.gen) == (1, ZX.one)
-        assert strip_var_power(ZX.make([7])) == (0, ZX.make([7]))
-        with pytest.raises(MathDomainError):
-            strip_var_power(ZX.zero)
+    """Z[T,T^-1] is Z[X] localized at the powers of X: fractions whose
+    normal form T^e * r has the power of X stripped off r."""
 
-    def test_laurent_to_poly(self):
-        f = LT.make(-1, [1, 0, 1])  # T^-1 + T
-        n, p = laurent_to_poly(f)
-        assert (n, p) == (1, ZX.make([1, 0, 1]))
-        assert LT.eq(LT.mul(f, LT.t_power(n)), LT.from_poly(p))
-        assert laurent_to_poly(LT.make(0, [1, 1])) == (0, ZX.make([1, 1]))
-        assert laurent_to_poly(LT.zero) == (0, ZX.zero)
+    def test_powers_of_x_strip(self):
+        exps, q = LT.S.strip(ZX.make([0, 0, 1, 1]))  # X^3 + X^2
+        assert (exps, q) == ((2,), ZX.make([1, 1]))
+        assert naive_mul([0] * exps[0] + [1], list(q.coeffs)) == [0, 0, 1, 1]
+        assert LT.S.strip(ZX.gen) == ((1,), ZX.one)
+        assert LT.S.strip(ZX.make([7])) == ((0,), ZX.make([7]))
+
+    def test_normal_form(self):
+        f = LT.fraction((-1,), ZX.make([1, 0, 1]))  # T^-1 + T
+        assert LT.normal_form(f) == ((-1,), ZX.make([1, 0, 1]))
+        # (X^3 + X) / X^2 is the same element, with the same normal form
+        g = Fraction(ZX.make([0, 1, 0, 1]), LT.S.member((2,)))
+        assert LT.eq(f, g) and LT.normal_form(g) == LT.normal_form(f)
+        assert LT.normal_form(LT.fraction((0,), ZX.make([1, 1]))) == ((0,), ZX.make([1, 1]))
 
     def test_laurent_units(self):
-        assert LT.is_unit(LT.t_power(-3))
-        assert LT.eq(LT.mul(LT.t_power(-3), LT.t_power(3)), LT.one)
-        assert not LT.is_unit(LT.make(0, [2]))
+        t = LT.fraction((1,), ZX.one)
+        assert LT.is_unit(LT.pow(LT.unit_inverse(t), 3))
+        assert LT.eq(LT.mul(LT.fraction((-3,), ZX.one), LT.pow(t, 3)), LT.one)
+        assert not LT.is_unit(LT.from_int(2))
 
     def test_laurent_canonical(self):
-        a = LT.make(2, [-3, 1])
+        a = LT.fraction((2,), ZX.make([3, -1]))  # -T^3 + 3*T^2
         u, n = LT.canonical_associate(a)
-        assert n.low == 0 and n.body.coeffs[-1] > 0
+        assert LT.normal_form(u) == ((2,), ZX.from_int(-1))
+        assert n == embed(ZX.make([-3, 1]), LT.S)
         assert LT.eq(LT.mul(u, n), a)
 
     def test_laurent_normalization(self):
-        assert LT.make(0, [0, 0, 2]).low == 2
-        assert LT.make(5, []) == LT.zero
+        assert LT.normal_form(embed(ZX.make([0, 0, 2]), LT.S)) == ((2,), ZX.make([2]))
+        assert LT.normal_form(Fraction(ZX.zero, LT.S.member((5,)))) == ((0,), ZX.zero)
+        assert LT.eq(Fraction(ZX.zero, LT.S.member((5,))), LT.zero)
+
+    def test_exact_div(self):
+        a = LT.fraction((-2,), ZX.make([-1, 0, 1]))  # (X^2 - 1) / X^2
+        q = LT.exact_div(a, LT.fraction((1,), ZX.make([1, 1])))
+        assert LT.normal_form(q) == ((-3,), ZX.make([-1, 1]))
+        assert LT.exact_div(a, LT.from_int(2)) is None
+        with pytest.raises(MathDomainError):
+            LT.exact_div(a, LT.zero)
 
 
 
@@ -219,7 +223,9 @@ def test_immutability():
         p.coeffs = ()
     l = LT.one
     with pytest.raises(AttributeError):
-        l.low = 3
+        l.num = ZX.zero
+    with pytest.raises(AttributeError):
+        l.den.exponents = (3,)
 
 
 def test_pow_matches_repeated_multiplication():
@@ -227,7 +233,7 @@ def test_pow_matches_repeated_multiplication():
     bases = {
         ZZ: -3,
         ZX: ZX.make([1, -2, 1]),
-        LT: LT.make(-1, [2, 0, 1]),
+        LT: LT.fraction((-1,), ZX.make([2, 0, 1])),
         ZXY: ZXY.make([ZX.make([1, 1]), ZX.make([0, 2])]),
     }
     for ring, a in bases.items():

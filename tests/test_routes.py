@@ -11,7 +11,8 @@ from locfactor import routes
 from locfactor.basefactor import check_factorization_unique, factor_bivariate
 from locfactor.cli import main
 from locfactor.errors import DeskScaleError, MathDomainError
-from locfactor.rings import LT, ZX, ZXY
+from locfactor.localization import LT, embed
+from locfactor.rings import ZX, ZXY
 from locfactor.routes import (
     compare_routes,
     factor_iterated,
@@ -26,17 +27,17 @@ from locfactor.selftest import rand_bivariate_feasible, rand_zx
 
 class TestFactorLaurent:
     def test_examples(self):
-        res = factor_laurent(LT.make(-1, [1, 0, 1]))  # T^-1 + T
+        res = factor_laurent(LT.fraction((-1,), ZX.make([1, 0, 1])))  # T^-1 + T
         pf = res.factorization
-        assert pf.unit == LT.t_power(-1)
-        assert pf.factors == (LT.from_poly(ZX.make([1, 0, 1])),)
+        assert LT.normal_form(pf.unit) == ((-1,), ZX.one)
+        assert pf.factors == (embed(ZX.make([1, 0, 1]), LT.S),)
         assert [(c.subject, c.case) for c in res.certificates] == [(ZX.make([1, 0, 1]), "localization")]
-        res = factor_laurent(LT.t_power(3))
-        assert res.factorization.unit == LT.t_power(3) and res.factorization.factors == ()
-        assert res.certificates == ()
-        pf = factor_laurent(LT.make(1, [2])).factorization  # 2T
-        assert pf.unit == LT.t_power(1)
-        assert pf.factors == (LT.from_poly(ZX.from_int(2)),)
+        res = factor_laurent(LT.fraction((3,), ZX.one))
+        assert LT.normal_form(res.factorization.unit) == ((3,), ZX.one)
+        assert res.factorization.factors == () and res.certificates == ()
+        pf = factor_laurent(LT.fraction((1,), ZX.from_int(2))).factorization  # 2T
+        assert LT.normal_form(pf.unit) == ((1,), ZX.one)
+        assert pf.factors == (embed(ZX.from_int(2), LT.S),)
 
     def test_zero(self):
         with pytest.raises(MathDomainError):
@@ -47,16 +48,17 @@ class TestFactorLaurent:
         for _ in range(40):
             low = rng.randint(-3, 3)
             body = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
-            f = LT.make(low, body)
+            f = LT.fraction((low,), ZX.make(body))
             if LT.is_zero(f):
                 continue
             res = factor_laurent(f)
             pf = res.factorization
-            assert pf.unit.body.coeffs in ((1,), (-1,))
+            assert LT.normal_form(pf.unit)[1].coeffs in ((1,), (-1,))
             assert LT.eq(pf.value(LT), f)
             for l, cert in zip(pf.factors, res.certificates, strict=True):
-                assert ZX.exact_div(ZX.gen, l.body) is None  # factor does not divide T
-                assert cert.subject == l.body and cert.case == "localization" and cert.replay()
+                assert LT.normal_form(l) == ((0,), l.num)
+                assert ZX.exact_div(ZX.gen, l.num) is None  # factor does not divide T
+                assert cert.subject == l.num and cert.case == "localization" and cert.replay()
 
     def test_one_descent_per_input(self, monkeypatch):
         """Laurent input is factored by the Laurent route, once per request."""
