@@ -746,11 +746,10 @@ def _memoized(engine: str, compute: Callable, p: Poly) -> PrimeFactorization:
     return pf
 
 
-def _kronecker_factor_uncached(p: Poly) -> PrimeFactorization:
-    if not p.coeffs:
-        raise MathDomainError("cannot factor zero")
-    if poly_content(p) != 1:
-        raise MathDomainError("kronecker_factor requires a primitive polynomial")
+def require_zx_caps(p: Poly) -> None:
+    """Refuse a primitive part over the degree or coefficient cap of
+    ``kronecker_factor``; callers check it before they factor any integer,
+    so an input over a cap costs no Pollard rho."""
     if len(p.coeffs) - 1 > KRONECKER_DEGREE_CAP:
         raise DeskScaleError(
             f"degree {len(p.coeffs) - 1} exceeds the desk-scale cap {KRONECKER_DEGREE_CAP}"
@@ -759,6 +758,14 @@ def _kronecker_factor_uncached(p: Poly) -> PrimeFactorization:
         raise DeskScaleError(
             f"coefficient magnitude exceeds the desk-scale cap {KRONECKER_COEFF_CAP}"
         )
+
+
+def _kronecker_factor_uncached(p: Poly) -> PrimeFactorization:
+    if not p.coeffs:
+        raise MathDomainError("cannot factor zero")
+    if poly_content(p) != 1:
+        raise MathDomainError("kronecker_factor requires a primitive polynomial")
+    require_zx_caps(p)
     unit, work = ZX.canonical_associate(p)
     out = [] if len(work.coeffs) == 1 else _zassenhaus(list(work.coeffs))
     pf = PrimeFactorization.of(ZX, unit, [Poly(q) for q in out])
@@ -781,8 +788,8 @@ def _factor_poly_zx_uncached(p: Poly) -> PrimeFactorization:
     if not p.coeffs:
         raise MathDomainError("cannot factor zero")
     c, prim = poly_primitive(p)
+    kf = kronecker_factor(prim)  # first: its caps refuse before rho runs on c
     cf = factor_integer(c)
-    kf = kronecker_factor(prim)
     factors = [ZX.constant(q) for q in cf.factors] + list(kf.factors)
     unit = ZX.mul(ZX.constant(cf.unit), kf.unit)
     pf = PrimeFactorization.of(ZX, unit, factors)
@@ -840,11 +847,8 @@ def _factor_bivariate_uncached(f: Poly) -> PrimeFactorization:
             f"desk-scale limit: degrees ({deg_x}, {deg_y}) exceed cap {BIVARIATE_DEGREE_CAP}"
         )
     cont, pp = zxy_primitive(f)
-    cf = factor_poly_zx(cont)
-    unit = ZXY.constant(cf.unit)
-    factors = [ZXY.constant(q) for q in cf.factors]
-    u2, ppc = ZXY.canonical_associate(pp)
-    unit = ZXY.mul(unit, u2)
+    unit, ppc = ZXY.canonical_associate(pp)
+    factors = []
     if len(ppc.coeffs) == 1:
         if ppc != ZXY.one:
             raise OracleViolationError("primitive constant part is not one")
@@ -874,6 +878,9 @@ def _factor_bivariate_uncached(f: Poly) -> PrimeFactorization:
 
         _split_by_subsets(len(base.factors), split)
         factors.append(target)
+    cf = factor_poly_zx(cont)  # after the image: its caps refuse before rho runs on the content
+    unit = ZXY.mul(ZXY.constant(cf.unit), unit)
+    factors += [ZXY.constant(q) for q in cf.factors]
     pf = PrimeFactorization.of(ZXY, unit, factors)
     if pf.value(ZXY) != f:
         raise OracleViolationError("factor_bivariate reconstruction failed")
@@ -915,12 +922,20 @@ def check_factorization_unique(ring: Ring, f1: PrimeFactorization, f2: PrimeFact
         for q in fz.factors:
             if ring.is_zero(q) or ring.is_unit(q):
                 raise PreconditionError("not a factorization into irreducibles")
-    if not ring.eq(f1.value(ring), f2.value(ring)):
-        return False
     if len(f1.factors) != len(f2.factors):
         return False
-    # canonical associates are unique per class, and sort_key is injective on them
-    norm1, norm2 = (
-        sorted((ring.canonical_associate(q)[1] for q in fz.factors), key=ring.sort_key) for fz in (f1, f2)
-    )
-    return all(ring.eq(a, b) for a, b in zip(norm1, norm2))
+    # Each side as u * prod(normals), the unit of every factor's canonical
+    # associate folded into u.  Canonical associates are unique per class and
+    # sort_key is injective on them; with equal normals, whose product is
+    # nonzero, the values are equal exactly when the units are.
+    forms = []
+    for fz in (f1, f2):
+        unit, normals = fz.unit, []
+        for q in fz.factors:
+            u, n = ring.canonical_associate(q)
+            unit = ring.mul(unit, u)
+            normals.append(n)
+        normals.sort(key=ring.sort_key)
+        forms.append((unit, normals))
+    (u1, norm1), (u2, norm2) = forms
+    return all(ring.eq(a, b) for a, b in zip(norm1, norm2)) and ring.eq(u1, u2)

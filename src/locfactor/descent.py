@@ -33,6 +33,7 @@ from .errors import (
 from .localization import (
     Fraction,
     GeneratedSubmonoid,
+    LocalizationRing,
     SMember,
     embed,
     find_associate_generator,
@@ -50,9 +51,9 @@ class LocalizationOracle:
     A subclass sets ``S`` and ``name`` and implements ``factor_fraction``
     alone: it returns (unit fraction, prime fractions), whose product equals
     the input under cross-multiplication, and every prime fraction's
-    numerator lives in the base ring.  Primality and divisibility in
-    S^-1 R are derived here, from that factorization and from exact
-    division in R.
+    numerator lives in the base ring.  Primality in S^-1 R is derived here
+    from that factorization, and divisibility from exact division in S^-1 R.
+    The descent and the transfer lemmas read the submonoid from ``S``.
     """
 
     name = "localization oracle"
@@ -71,28 +72,18 @@ class LocalizationOracle:
 
     def divides(self, x: Fraction, y: Fraction) -> Optional[tuple[SMember, Element]]:
         """Divisibility of embedded elements with an (s, c) witness such that
-        s.value * y.num == x.num * c, or None; only the numerators are read,
-        since every caller passes ``embed(...)`` fractions.
+        s.value * y.num == x.num * c, or None.
 
-        Write x = sx * x0 and y = sy * y0 with sx, sy in S and x0, y0 free of
-        generator factors.  The generators are primes, so gcd(x0, s) = 1 for
-        every s in S, and x0 | s * y0 exactly when x0 | y0.  So x divides
-        s * y for some s in S exactly when the residues divide exactly in R,
-        and the generator exponents then give the least such s.
+        The witness is the quotient y / x in S^-1 R, written as the fraction
+        c / s by ``LocalizationRing.exact_div``: the generators are units
+        there, so x divides y exactly when the residues of their normal forms
+        divide in R, and the denominator s it builds is the least member of S
+        with x | s * y in R.
         """
-        S = self.S
-        ring = S.ring
-        if ring.is_zero(x.num):
+        if self.S.ring.is_zero(x.num):
             return None
-        px, xr = S.strip(x.num)
-        py, yr = S.strip(y.num)
-        q = ring.exact_div(yr, xr)
-        if q is None:
-            return None
-        s_exps = tuple(max(a - b, 0) for a, b in zip(px, py))
-        extra = tuple(b + s - a for a, b, s in zip(px, py, s_exps))
-        c = ring.mul(q, S.member(extra).value)
-        return (S.member(s_exps), c)
+        q = LocalizationRing(self.S, "S^-1 R", "").exact_div(y, x)
+        return None if q is None else (q.den, q.num)
 
 
 class PrimalityCertificate(NamedTuple):
@@ -104,16 +95,15 @@ class PrimalityCertificate(NamedTuple):
     """
 
     subject: Element
-    submonoid: GeneratedSubmonoid
+    oracle: LocalizationOracle  # and through it the submonoid ``oracle.S``
     case: str
     generator_index: Optional[int] = None
     unit: Optional[Element] = None
-    oracle: Optional[LocalizationOracle] = None
 
     def replay(self) -> bool:
         """Re-derive the certificate from scratch, bypassing any request memo."""
         with memo_bypassed():
-            S = self.submonoid
+            S = self.oracle.S
             ring = S.ring
             if self.case == "generator":
                 return ring.is_unit(self.unit) and ring.eq(
@@ -126,7 +116,7 @@ class PrimalityCertificate(NamedTuple):
     def detail(self) -> str:
         from . import expr
 
-        S = self.submonoid
+        S = self.oracle.S
         if self.case == "generator":
             g = expr.render(S.ring, S.generators[self.generator_index])
             u = expr.render(S.ring, self.unit)
@@ -134,21 +124,20 @@ class PrimalityCertificate(NamedTuple):
         return f"avoids {S.describe()}; prime in {self.oracle.name}"
 
 
-def certify_prime(
-    p: Element, S: GeneratedSubmonoid, oracle: LocalizationOracle
-) -> PrimalityCertificate:
+def certify_prime(p: Element, oracle: LocalizationOracle) -> PrimalityCertificate:
     """Decide primality of an irreducible p by the generator/avoidance case
-    split: zero, a unit or a proper multiple of a generator is "not
-    irreducible"; an associate of a generator is prime; otherwise ask the
-    oracle.  Irreducibility is the caller's precondition, not tested (no
-    base-ring engine): a denial means a broken oracle or a composite p."""
-    hit = find_associate_generator(S, p)
+    split over the oracle's submonoid: zero, a unit or a proper multiple of
+    a generator is "not irreducible"; an associate of a generator is prime;
+    otherwise ask the oracle.  Irreducibility is the caller's precondition,
+    not tested (no base-ring engine): a denial means a broken oracle or a
+    composite p."""
+    hit = find_associate_generator(oracle.S, p)
     if hit is not None:
         i, u = hit
-        return PrimalityCertificate(p, S, "generator", generator_index=i, unit=u)
+        return PrimalityCertificate(p, oracle, "generator", generator_index=i, unit=u)
     if not oracle.is_prime_embedded(p):
         raise OracleViolationError("localization not UFD on this input, or p is not irreducible")
-    return PrimalityCertificate(p, S, "localization", oracle=oracle)
+    return PrimalityCertificate(p, oracle, "localization")
 
 
 class DescentResult(NamedTuple):
@@ -158,17 +147,17 @@ class DescentResult(NamedTuple):
     certificates: tuple
 
 
-def descend_factor(
-    a: Element, S: GeneratedSubmonoid, oracle: LocalizationOracle
-) -> DescentResult:
+def descend_factor(a: Element, oracle: LocalizationOracle) -> DescentResult:
     """Factor a base-ring element from the localization oracle.
 
-    Steps: strip generator primes; if the residue is a unit we are done;
-    otherwise factor the embedded residue in the localization, normalize each
-    prime fraction's numerator, certify every residual prime, and verify
-    a0 == unit * prod(residuals); the generators being pairwise non-associate
-    primes, no exponent bookkeeping is needed beyond that.
+    Steps: strip the generators of the oracle's submonoid ``oracle.S``; if
+    the residue is a unit we are done; otherwise factor the embedded residue
+    in the localization, normalize each prime fraction's numerator, certify
+    every residual prime, and verify a0 == unit * prod(residuals); the
+    generators being pairwise non-associate primes, no exponent bookkeeping
+    is needed beyond that.
     """
+    S = oracle.S
     ring = S.ring
     if ring.is_zero(a):
         raise MathDomainError("cannot factor zero")
@@ -176,7 +165,7 @@ def descend_factor(
     pairs = []
     for g, e in zip(S.generators, exps):
         if e:
-            cert = certify_prime(g, S, oracle)
+            cert = certify_prime(g, oracle)
             pairs.extend([(g, cert)] * e)
     if ring.is_unit(a0):
         unit = a0
@@ -199,7 +188,7 @@ def descend_factor(
             _, rc = ring.canonical_associate(r)
             if ring.is_unit(rc):
                 raise OracleViolationError("oracle returned a unit factor")
-            cert = certify_prime(rc, S, oracle)
+            cert = certify_prime(rc, oracle)
             residuals.append(rc)
             pairs.append((rc, cert))
         w = ring.exact_div(a0, ring.prod(residuals))
@@ -224,23 +213,20 @@ class BaseEngineOracle(LocalizationOracle):
     def __init__(self, S: GeneratedSubmonoid, engine):
         self.S = S
         self.engine = engine
-        self.name = f"{S.ring.name} localized at {S.describe()}"
+
+    @property
+    def name(self) -> str:
+        """Rendered when read, so that building an oracle renders nothing."""
+        return f"{self.S.ring.name} localized at {self.S.describe()}"
 
     def factor_fraction(self, x: Fraction) -> tuple[Fraction, tuple]:
         S = self.S
-        ring = S.ring
         pf = self.engine(x.num)
-        exps = [0] * len(S.generators)
         unit_num = pf.unit
         primes = []
         for q in pf.factors:
-            hit = find_associate_generator(S, q)
-            if hit is not None:
-                exps[hit[0]] += 1
-                unit_num = ring.mul(unit_num, hit[1])
-            else:
+            if find_associate_generator(S, q) is None:
                 primes.append(Fraction(q, S.one_member()))
-        if any(exps):
-            unit_num = ring.mul(unit_num, S.member(exps).value)
-        unit_frac = Fraction(unit_num, x.den)
-        return (unit_frac, tuple(primes))
+            else:  # an associate of a generator is a unit of S^-1 R
+                unit_num = S.ring.mul(unit_num, q)
+        return (Fraction(unit_num, x.den), tuple(primes))

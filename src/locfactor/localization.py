@@ -326,13 +326,12 @@ def clear_denominator(ring: Ring, f, p: Element, a: Element, c: Element) -> Elem
     return c
 
 
-def lift_dvd(
-    S: GeneratedSubmonoid, p: Element, a: Element, s: SMember, c: Element
-) -> Element:
-    """Lift s*a == p*c (divisibility of images in the localization) to a == p*d."""
-    ring = S.ring
+def lift_dvd(p: Element, a: Element, s: SMember, c: Element) -> Element:
+    """Lift s*a == p*c (divisibility of images in the localization) to a == p*d,
+    where p avoids the submonoid of the witness s."""
+    ring = s.submonoid.ring
     _require_irreducible(ring, p)
-    if not avoids(S, p):
+    if not avoids(s.submonoid, p):
         raise PreconditionError("avoidance violated")
     return clear_denominator(ring, witness_multiset(s), p, a, c)
 
@@ -403,16 +402,16 @@ def transfer_irreducible(S: GeneratedSubmonoid, p: Element) -> IrreducibilityCer
     return IrreducibilityCertificate(S, p, non_unit=True)
 
 
-def transfer_prime_divides(
-    S: GeneratedSubmonoid, p: Element, a: Element, b: Element, oracle
-) -> tuple[str, Element]:
-    """Decide p | a or p | b from localization-side primality of the image.
+def transfer_prime_divides(p: Element, a: Element, b: Element, oracle) -> tuple[str, Element]:
+    """Decide p | a or p | b from localization-side primality of the image,
+    in the localization at the oracle's submonoid ``oracle.S``.
 
     ``oracle.divides``, which every ``LocalizationOracle`` derives from exact
-    division in the base ring, answers embedded divisibility with an (s, c)
+    division in S^-1 R, answers embedded divisibility with an (s, c)
     witness satisfying s.value * target == p * c; the witness is then lifted
     back with ``lift_dvd`` to produce the exact base-ring quotient.
     """
+    S = oracle.S
     ring = S.ring
     _require_irreducible(ring, p)
     if not avoids(S, p):
@@ -422,10 +421,10 @@ def transfer_prime_divides(
     w = oracle.divides(embed(p, S), embed(a, S))
     if w is not None:
         s, c = w
-        return ("left", lift_dvd(S, p, a, s, c))
+        return ("left", lift_dvd(p, a, s, c))
     w = oracle.divides(embed(p, S), embed(b, S))
     if w is not None:
         s, c = w
-        return ("right", lift_dvd(S, p, b, s, c))
+        return ("right", lift_dvd(p, b, s, c))
     raise OracleViolationError("localization primality violated")
 

@@ -42,6 +42,7 @@ from .basefactor import (
     factor_poly_zx,
     kronecker_factor,
     request_memo,
+    require_zx_caps,
 )
 from .descent import BaseEngineOracle, DescentResult, LocalizationOracle, descend_factor
 from .descent import certify_prime  # unused; a benchmark test reads it (ROADMAP item 1)
@@ -61,9 +62,6 @@ class LaurentOracle(BaseEngineOracle):
 
     name = "Z[T,T^-1] factorization"
 
-    def __init__(self, S: GeneratedSubmonoid, engine):
-        self.S, self.engine = S, engine  # the base class would render S for its own name
-
     # bound here too, so that per-class method tracing sees the Laurent calls
     factor_fraction = BaseEngineOracle.factor_fraction
 
@@ -80,11 +78,11 @@ def _require_agreement(ring, a: PrimeFactorization, b: PrimeFactorization, what:
     raise OracleViolationError(f"{what}: {shown[0]} vs {shown[1]}")
 
 
-def _descend_checked(f: Poly, S: GeneratedSubmonoid, oracle: LocalizationOracle) -> DescentResult:
+def _descend_checked(f: Poly, oracle: LocalizationOracle) -> DescentResult:
     """``descend_factor``, then one check of the localization-case factors
     against the direct factorization of their value, the stripped residue a0
     (not of f: the oracle has factored a0, so the check meets no new cap)."""
-    res = descend_factor(f, S, oracle)
+    res = descend_factor(f, oracle)
     pf = res.factorization
     local = PrimeFactorization(
         pf.unit, tuple(q for q, c in zip(pf.factors, res.certificates) if c.case == "localization")
@@ -101,7 +99,7 @@ def factor_zx_via_laurent(f: Poly) -> DescentResult:
     this is the same ``descend_factor`` that the other routes run.
     """
     with request_memo():
-        return _descend_checked(f, LT.S, LaurentOracle(LT.S, factor_poly_zx))
+        return _descend_checked(f, LaurentOracle(LT.S, factor_poly_zx))
 
 
 def factor_laurent(f: Fraction) -> DescentResult:
@@ -179,6 +177,7 @@ def fracfield_submonoid(f: Poly) -> GeneratedSubmonoid:
     if ZX.is_zero(f):
         raise MathDomainError("cannot factor zero")
     c, prim = poly_primitive(f)
+    require_zx_caps(prim)  # the engine's caps, before rho runs on c or the leading coefficient
     primes = factor_integer(c).factors + factor_integer(prim.coeffs[-1]).factors
     return GeneratedSubmonoid(ZX, [ZX.constant(p) for p in primes])
 
@@ -186,8 +185,7 @@ def fracfield_submonoid(f: Poly) -> GeneratedSubmonoid:
 def factor_zx_via_fraction_field(f: Poly) -> DescentResult:
     """Descend a Z[X] factorization from Q[X] through the constant primes."""
     with request_memo():
-        S = fracfield_submonoid(f)
-        return _descend_checked(f, S, ConstantPrimesOracle(S, OVER_Z, kronecker_factor))
+        return _descend_checked(f, ConstantPrimesOracle(fracfield_submonoid(f), OVER_Z, kronecker_factor))
 
 
 def iterated_submonoid(f: Poly) -> GeneratedSubmonoid:
@@ -204,8 +202,7 @@ def factor_iterated(f: Poly) -> DescentResult:
     cross-checked against the Kronecker substitution engine."""
     with request_memo():
         direct = factor_bivariate(f)  # first: it rejects zero and the degree caps
-        S = iterated_submonoid(f)
-        res = descend_factor(f, S, ConstantPrimesOracle(S, OVER_ZX, factor_bivariate))
+        res = descend_factor(f, ConstantPrimesOracle(iterated_submonoid(f), OVER_ZX, factor_bivariate))
         _require_agreement(ZXY, direct, res.factorization, "substitution engine and descent disagree")
     return res
 

@@ -554,7 +554,7 @@ def suite_loc_clear_denominator(rng, trials):
         got = clear_denominator(ring, f, p, a, c)
         if not ring.eq(ring.mul(p, got), a):
             raise SelfTestFailure("clear_denominator quotient does not verify")
-        got2 = lift_dvd(S, p, a, s, c)
+        got2 = lift_dvd(p, a, s, c)
         if not ring.eq(got2, got):
             raise SelfTestFailure("lift_dvd disagrees with clear_denominator")
 
@@ -620,7 +620,7 @@ def suite_loc_transfer_prime_divides(rng, trials):
         a, b = ring.mul(p, cofactor()), cofactor()
         if rng.random() < 0.5:
             a, b = b, a
-        side, d = transfer_prime_divides(S, p, a, b, oracle)
+        side, d = transfer_prime_divides(p, a, b, oracle)
         if side == "right" and ring.exact_div(a, p) is not None:
             raise SelfTestFailure("transfer_prime_divides passed over a left side that p divides")
         exact = ring.exact_div(a if side == "left" else b, p)
@@ -646,7 +646,7 @@ def suite_descent_reconstruction(rng, trials):
         S = rand_submonoid_z(rng)
         oracle = BaseEngineOracle(S, factor_integer)
         a = rand_int(rng, 10**5, nonzero=True)
-        res = descend_factor(a, S, oracle)
+        res = descend_factor(a, oracle)
         if res.factorization.value(ZZ) != a:
             raise SelfTestFailure("descent does not reconstruct")
         for cert in res.certificates:
@@ -671,7 +671,7 @@ def suite_descent_dichotomy(rng, trials):
         if case1 == case2:
             raise SelfTestFailure("case split is not a dichotomy")
         oracle = BaseEngineOracle(S, factor_integer)
-        cert = certify_prime(p, S, oracle)
+        cert = certify_prime(p, oracle)
         if cert.case != ("generator" if case1 else "localization"):
             raise SelfTestFailure("certificate case does not match the dichotomy")
         if not cert.replay():

@@ -106,7 +106,7 @@ def test_criterion_4_transfer_soundness():
             got = clear_denominator(ring, witness_multiset(s), p, a, c)
             assert ring.eq(ring.mul(p, got), a)
         elif op == 1:
-            got = lift_dvd(S, p, a, s, c)
+            got = lift_dvd(p, a, s, c)
             assert ring.eq(ring.mul(p, got), a)
         elif op == 2:
             f = list(witness_multiset(s))
@@ -126,7 +126,7 @@ def test_criterion_4_transfer_soundness():
 
                 oracle = LaurentOracle(S, factor_poly_zx)
             b = d
-            side, quot = transfer_prime_divides(S, p, a, b, oracle)
+            side, quot = transfer_prime_divides(p, a, b, oracle)
             target = a if side == "left" else b
             assert ring.eq(ring.mul(p, quot), target)
     elapsed = time.monotonic() - t0
@@ -165,20 +165,20 @@ def test_criterion_6_chain_correspondence():
             d = rng.randint(-50, 50)
         s = S.member((rng.randint(0, 3),))
         a, c = p * d, s.value * d
-        assert lift_dvd(S, p, a, s, c) == ZZ.exact_div(a, p)
+        assert lift_dvd(p, a, s, c) == ZZ.exact_div(a, p)
         oracle = BaseEngineOracle(S, factor_integer)
         b = 0
         while b == 0:
             b = rng.randint(-50, 50)
-        assert transfer_prime_divides(S, p, a, b, oracle) == ("left", ZZ.exact_div(a, p))
+        assert transfer_prime_divides(p, a, b, oracle) == ("left", ZZ.exact_div(a, p))
     # ...and on the multi-generator ones, where a product of two distinct
     # generators is neither prime nor a unit
     for gens in ([2, 3], [5, 7], [2, 3, 5]):
         S = GeneratedSubmonoid(ZZ, gens)
         s = S.member((1,) * len(gens))
-        assert lift_dvd(S, 11, 22, s, s.value * 2) == 2
+        assert lift_dvd(11, 22, s, s.value * 2) == 2
         oracle = BaseEngineOracle(S, factor_integer)
-        assert transfer_prime_divides(S, 11, 3 * s.value, 22, oracle) == ("right", 2)
+        assert transfer_prime_divides(11, 3 * s.value, 22, oracle) == ("right", 2)
     _report(6, "prime-generated chain divides exactly on one and several generators")
 
 

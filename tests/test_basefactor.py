@@ -32,6 +32,7 @@ from locfactor.basefactor import (
     kronecker_factor,
 )
 from locfactor.errors import DeskScaleError, MathDomainError, PreconditionError
+from locfactor.expr import parse_in_ring
 from locfactor.localization import LT
 from locfactor.rings import ZX, ZXY, ZZ, PolynomialRing, poly_content, poly_primitive
 from locfactor.selftest import kronecker_reference, rand_zx
@@ -311,6 +312,29 @@ class TestUniqueness:
             check_factorization_unique(
                 ZZ, PrimeFactorization(1, (1,)), PrimeFactorization(1, (1,))
             )
+
+    def test_compares_canonical_forms_without_multiplying_back(self, monkeypatch):
+        """The units split off by the canonical associates are folded into
+        each side's unit: with equal normals, the values agree exactly when
+        those units do, so no factorization is multiplied out."""
+        calls = []
+        value = PrimeFactorization.value
+
+        def counting(pf, ring):
+            calls.append(pf)
+            return value(pf, ring)
+
+        text = "(X^4+X+1)*(X^4-3*X^2+5)*(X^3+2)*6"
+        pf = factor_poly_zx(parse_in_ring(text, ZX))
+        neg = ZX.from_int(-1)
+        perturbed = PrimeFactorization(pf.unit, tuple(ZX.mul(neg, q) for q in reversed(pf.factors)))
+        monkeypatch.setattr(PrimeFactorization, "value", counting)
+        assert check_factorization_unique(ZX, pf, perturbed) is (len(pf.factors) % 2 == 0)
+        flipped = PrimeFactorization(ZX.mul(neg, pf.unit), perturbed.factors)
+        assert check_factorization_unique(ZX, pf, flipped) is (len(pf.factors) % 2 == 1)
+        assert check_factorization_unique(ZZ, PrimeFactorization(1, (2, 3)), PrimeFactorization(-1, (2, 3))) is False
+        assert check_factorization_unique(ZZ, PrimeFactorization(-1, (-2, 3)), PrimeFactorization(1, (3, 2))) is True
+        assert calls == []
 
 
 class TestIrreducibilityOracles:

@@ -219,6 +219,24 @@ class TestExitCodes:
         )
         assert main(["factor", "2^100*3^60*7^50"]) == 0  # 340 bits, all taken by the sieve
 
+    def test_polynomial_caps_come_before_integer_factoring(self, capsys):
+        # N is a product of two primes near 10^14, on which Pollard rho runs
+        # out of its budget after seconds; each input was refused with the
+        # rho message after 2.3-3 s, because N was factored first: as the
+        # fracfield prepass's leading coefficient, as the content of Z[X],
+        # and as the content of Z[X][Y]
+        n = "10000000100013000000031003069"
+        for argv, err in (
+            (["factor", f"{n}*X+1"], "coefficient magnitude exceeds the desk-scale cap 1000000"),
+            (["factor", "--route", "direct", f"{n}*X^17+{n}"], "degree 17 exceeds the desk-scale cap 16"),
+            (["factor", f"{n}*X^4*Y^4+{n}"],
+             "desk-scale limit: substitution image degree 40 exceeds the univariate cap 16"),
+        ):
+            t0 = time.monotonic()
+            assert main(argv) == 2
+            assert time.monotonic() - t0 < 0.5, argv
+            assert capsys.readouterr().err == f"error: {err}\n"
+
     def test_degree_cap(self, capsys):
         # each spent seconds building the product before the bivariate cap
         # refused it: 13.3 s and 2.7 s

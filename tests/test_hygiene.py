@@ -143,6 +143,20 @@ def test_descent_layer_is_engine_free():
     assert [name for name in ("is_irreducible", "_require_irreducible") if name in source] == []
 
 
+def test_no_function_takes_a_submonoid_beside_its_oracle():
+    """An oracle carries its submonoid as ``oracle.S``, so no function takes
+    the submonoid a second time, where nothing would check that they agree."""
+    both = [
+        f"{module}:{node.name}"
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for params in [{a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}]
+        if "oracle" in params and params & {"S", "submonoid"}
+    ]
+    assert both == []
+
+
 def test_cli_serves_only_names_that_routes_defines():
     """``cli`` serves the names in ``_ROUTES_NAMES`` from ``routes`` on first
     use, so each must be a module-level definition there."""

@@ -14,7 +14,7 @@ from locfactor.selftest import SelfTestReport
 RECORDS = [
     (PrimeFactorization, ("unit", "factors")),
     (FactorOutcome, ("ring", "route", "factorization", "certificates", "elapsed", "texts")),
-    (PrimalityCertificate, ("subject", "submonoid", "case", "generator_index", "unit", "oracle")),
+    (PrimalityCertificate, ("subject", "oracle", "case", "generator_index", "unit")),
     (DescentResult, ("factorization", "certificates")),
     (Fraction, ("num", "den")),
     (IrreducibilityCertificate, ("submonoid", "subject", "non_unit")),
