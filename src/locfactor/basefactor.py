@@ -746,10 +746,11 @@ def _memoized(engine: str, compute: Callable, p: Poly) -> PrimeFactorization:
     return pf
 
 
-def require_zx_caps(p: Poly) -> None:
-    """Refuse a primitive part over the degree or coefficient cap of
-    ``kronecker_factor``; callers check it before they factor any integer,
-    so an input over a cap costs no Pollard rho."""
+def _kronecker_factor_uncached(p: Poly) -> PrimeFactorization:
+    if not p.coeffs:
+        raise MathDomainError("cannot factor zero")
+    if poly_content(p) != 1:
+        raise MathDomainError("kronecker_factor requires a primitive polynomial")
     if len(p.coeffs) - 1 > KRONECKER_DEGREE_CAP:
         raise DeskScaleError(
             f"degree {len(p.coeffs) - 1} exceeds the desk-scale cap {KRONECKER_DEGREE_CAP}"
@@ -758,14 +759,6 @@ def require_zx_caps(p: Poly) -> None:
         raise DeskScaleError(
             f"coefficient magnitude exceeds the desk-scale cap {KRONECKER_COEFF_CAP}"
         )
-
-
-def _kronecker_factor_uncached(p: Poly) -> PrimeFactorization:
-    if not p.coeffs:
-        raise MathDomainError("cannot factor zero")
-    if poly_content(p) != 1:
-        raise MathDomainError("kronecker_factor requires a primitive polynomial")
-    require_zx_caps(p)
     unit, work = ZX.canonical_associate(p)
     out = [] if len(work.coeffs) == 1 else _zassenhaus(list(work.coeffs))
     pf = PrimeFactorization.of(ZX, unit, [Poly(q) for q in out])

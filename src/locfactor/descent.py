@@ -29,6 +29,7 @@ from .errors import (
     DescentInconsistencyError,
     MathDomainError,
     OracleViolationError,
+    PreconditionError,
 )
 from .localization import (
     Fraction,
@@ -101,17 +102,14 @@ class PrimalityCertificate(NamedTuple):
     unit: Optional[Element] = None
 
     def replay(self) -> bool:
-        """Re-derive the certificate from scratch, bypassing any request memo."""
+        """Re-run the decision ``certify_prime`` on the subject, bypassing
+        any request memo: the certificate replays when the decision gives it
+        back unchanged, and not when the decision refuses the subject."""
         with memo_bypassed():
-            S = self.oracle.S
-            ring = S.ring
-            if self.case == "generator":
-                return ring.is_unit(self.unit) and ring.eq(
-                    self.subject, ring.mul(self.unit, S.generators[self.generator_index])
-                )
-            if find_associate_generator(S, self.subject) is not None:
+            try:
+                return certify_prime(self.subject, self.oracle) == self
+            except (PreconditionError, OracleViolationError):
                 return False
-            return self.oracle.is_prime_embedded(self.subject)
 
     def detail(self) -> str:
         from . import expr

@@ -224,45 +224,47 @@ def _parse(text: str) -> tuple[object, set]:
     return _Parser(tokens).parse(), variables
 
 
-def _size_reach(node) -> tuple[int, int, int, int, int]:
-    """Upper bounds on the X- and Y-degrees (T counts as X, T^-k as X^k:
-    Laurent values are Z[X] fractions) and on log2 of the 1-norm of
-    every value evaluating node builds, the total dense size of the terms
-    its sums add up, and the largest product of exponents along a chain of
-    nested powers.  Degrees: sums take the larger, products add, powers
-    multiply.  Bits: a literal gives its bit length, a sum the largest of its
-    terms plus one bit per '+', products add and powers multiply.
-    Evaluation builds each term of every sum and each partial product of
-    every product, so the total charges each term its dense size
-    (deg_X + 1) * (deg_Y + 1) * bits, with at least one bit, and each
-    partial product before a product's value one bit per dense coefficient.
-    Then a product of k factors of positive degree costs about k^2 / 2, as
-    its evaluation does."""
+def _size_reach(node) -> tuple[int, int, int, int, int, int]:
+    """Upper bounds on the positive and negative X-degrees (T counts as X, T^-k
+    as X^-k: a Laurent value is a Z[X] fraction over a power of X, whose dense
+    numerator spans both), the Y-degree and log2 of the 1-norm of every value
+    evaluating node builds, the total dense size of the terms its sums add up,
+    and the largest product of exponents along a chain of nested powers.
+    Degrees: sums take the larger in each slot, products add, powers
+    multiply, and T^-k swaps the X slots.  Bits: a literal gives its bit
+    length, a sum the largest of its terms plus one bit per '+', products add
+    and powers multiply.  Evaluation builds each term of every sum and each
+    partial product of every product, so the total charges each term its
+    dense size (pos + neg + 1) * (deg_Y + 1) * bits, with at least one bit,
+    and each partial product before a product's value one bit per dense
+    coefficient.  Then a product of k factors of positive degree costs about
+    k^2 / 2, as its evaluation does."""
     op = node[0]
     if op == "int":
-        return (0, 0, abs(node[1]).bit_length(), 0, 1)
+        return (0, 0, 0, abs(node[1]).bit_length(), 0, 1)
     if op == "var":  # T is charged as X is: it builds the same dense polynomials
-        return (int(node[1] != "Y"), int(node[1] == "Y"), 0, 0, 1)
+        return (int(node[1] != "Y"), 0, int(node[1] == "Y"), 0, 0, 1)
     if op == "neg":
         return _size_reach(node[1])
     if op in ("sum", "mul"):
         reach = [_size_reach(c) for c in node[1]]
-        summed = sum(r[3] for r in reach)
-        power = max(r[4] for r in reach)
+        summed = sum(r[4] for r in reach)
+        power = max(r[5] for r in reach)
         if op == "sum":
-            summed += sum((r[0] + 1) * (r[1] + 1) * max(r[2], 1) for r in reach)
-            return (max(r[0] for r in reach), max(r[1] for r in reach),
-                    max(r[2] for r in reach) + len(reach) - 1, summed, power)
-        dx, dy = reach[0][:2]
+            summed += sum((r[0] + r[1] + 1) * (r[2] + 1) * max(r[3], 1) for r in reach)
+            return (*(max(r[k] for r in reach) for k in range(3)),
+                    max(r[3] for r in reach) + len(reach) - 1, summed, power)
+        pos, neg, dy = reach[0][:3]
         for r in reach[1:-1]:
-            dx, dy = dx + r[0], dy + r[1]
-            summed += (dx + 1) * (dy + 1)
-        return (*(sum(r[k] for r in reach) for k in range(3)), summed, power)
+            pos, neg, dy = pos + r[0], neg + r[1], dy + r[2]
+            summed += (pos + neg + 1) * (dy + 1)
+        return (*(sum(r[k] for r in reach) for k in range(4)), summed, power)
     if op == "pow":
         # x^0 still evaluates x; T^-k builds the denominator X^k
         e = max(abs(node[2]), 1)
-        dx, dy, bits, summed, power = _size_reach(node[1])
-        return (dx * e, dy * e, bits * e, summed, power * e)
+        pos, neg, dy, bits, summed, power = _size_reach(node[1])
+        pos, neg = (neg, pos) if node[2] < 0 else (pos, neg)
+        return (pos * e, neg * e, dy * e, bits * e, summed, power * e)
     raise ParseError(f"unknown node {op!r}")
 
 
@@ -320,7 +322,8 @@ def parse_expr(text: str) -> tuple[Ring, Element]:
         )
     ast, variables = _parse(text)
     ring = _infer_ring(variables)
-    dx, dy, bits, summed, power = _size_reach(ast)
+    pos, neg, dy, bits, summed, power = _size_reach(ast)
+    dx = pos + neg
     if power > EXPONENT_CAP:
         raise DeskScaleError(
             f"desk-scale limit: exponent {power} exceeds {EXPONENT_CAP} "

@@ -5,15 +5,17 @@ each other:
 
 * direct        -- ``factor_poly_zx`` (content + Zassenhaus), no localization
 * laurent       -- localize at the powers of X, the Laurent ring
-                   ``localization.LT``, computed in Z[X]; the descent layer
-                   pulls factors back
+                   ``localization.LT``, computed in Z[X]
 * fraction field-- localize at the constant primes that actually occur
                    and compare with Q[X]
 
-Laurent input takes the laurent route too (``factor_laurent``), and there is
-the bivariate route for Z[X][Y], which descends the same way from
-Frac(Z[X])[Y] and is cross-checked against the Y -> X^D (Kronecker)
-substitution engine.
+Laurent input takes the laurent route too (``factor_laurent``), and Z[X][Y]
+the bivariate route, which descends the same way from Frac(Z[X])[Y].  Each
+descent route is an oracle over a submonoid and one ``_descend_checked``
+call, which pulls the factors back and checks them against the direct
+engine, ``factor_poly_zx`` or the Y -> X^D substitution engine
+``factor_bivariate``.  Zero and input over a cap are refused below this
+module, by the engines and ``descend_factor``.
 
 The fraction-field and bivariate routes are one construction, as in the
 paper: R[Y] localized at the constant primes of R and compared with
@@ -42,11 +44,10 @@ from .basefactor import (
     factor_poly_zx,
     kronecker_factor,
     request_memo,
-    require_zx_caps,
 )
 from .descent import BaseEngineOracle, DescentResult, LocalizationOracle, descend_factor
 from .descent import certify_prime  # unused; a benchmark test reads it (ROADMAP item 1)
-from .errors import MathDomainError, OracleViolationError
+from .errors import OracleViolationError
 from .localization import LT, Fraction, GeneratedSubmonoid, embed
 from .rings import ZX, ZXY, Poly, poly_primitive, zxy_primitive
 
@@ -78,17 +79,18 @@ def _require_agreement(ring, a: PrimeFactorization, b: PrimeFactorization, what:
     raise OracleViolationError(f"{what}: {shown[0]} vs {shown[1]}")
 
 
-def _descend_checked(f: Poly, oracle: LocalizationOracle) -> DescentResult:
-    """``descend_factor``, then one check of the localization-case factors
-    against the direct factorization of their value, the stripped residue a0
-    (not of f: the oracle has factored a0, so the check meets no new cap)."""
+def _descend_checked(f: Poly, oracle: LocalizationOracle, direct: Callable) -> DescentResult:
+    """``descend_factor``, then one check in ``oracle.S.ring`` of the
+    localization-case factors against the direct engine on their value, the
+    stripped residue a0 (not on f: the oracle has factored a0, so the check
+    meets no new cap); the descent's reconstruction covers the generators."""
     res = descend_factor(f, oracle)
-    pf = res.factorization
+    ring, pf = oracle.S.ring, res.factorization
     local = PrimeFactorization(
         pf.unit, tuple(q for q, c in zip(pf.factors, res.certificates) if c.case == "localization")
     )
-    direct = factor_poly_zx(local.value(ZX))
-    _require_agreement(ZX, direct, local, f"direct engine and the descent through {oracle.name} disagree")
+    what = f"direct engine and the descent through {oracle.name} disagree"
+    _require_agreement(ring, direct(local.value(ring)), local, what)
     return res
 
 
@@ -99,7 +101,7 @@ def factor_zx_via_laurent(f: Poly) -> DescentResult:
     this is the same ``descend_factor`` that the other routes run.
     """
     with request_memo():
-        return _descend_checked(f, LaurentOracle(LT.S, factor_poly_zx))
+        return _descend_checked(f, LaurentOracle(LT.S, factor_poly_zx), factor_poly_zx)
 
 
 def factor_laurent(f: Fraction) -> DescentResult:
@@ -172,39 +174,34 @@ def fracfield_submonoid(f: Poly) -> GeneratedSubmonoid:
     are the primes of the content and of the leading coefficient.  These also
     cover the denominators of the monic Q[X] factors: each is the leading
     coefficient of a primitive integer factor, which divides the leading
-    coefficient of the primitive part.
+    coefficient of the primitive part.  The content primes are the constant
+    factors of the direct engine's answer, whose caps refuse before any
+    integer is factored.
     """
-    if ZX.is_zero(f):
-        raise MathDomainError("cannot factor zero")
-    c, prim = poly_primitive(f)
-    require_zx_caps(prim)  # the engine's caps, before rho runs on c or the leading coefficient
-    primes = factor_integer(c).factors + factor_integer(prim.coeffs[-1]).factors
-    return GeneratedSubmonoid(ZX, [ZX.constant(p) for p in primes])
+    content = [q for q in factor_poly_zx(f).factors if len(q.coeffs) == 1]
+    lead = factor_integer(poly_primitive(f)[1].coeffs[-1]).factors
+    return GeneratedSubmonoid(ZX, content + [ZX.constant(p) for p in lead])
 
 
 def factor_zx_via_fraction_field(f: Poly) -> DescentResult:
     """Descend a Z[X] factorization from Q[X] through the constant primes."""
     with request_memo():
-        return _descend_checked(f, ConstantPrimesOracle(fracfield_submonoid(f), OVER_Z, kronecker_factor))
+        oracle = ConstantPrimesOracle(fracfield_submonoid(f), OVER_Z, kronecker_factor)
+        return _descend_checked(f, oracle, factor_poly_zx)
 
 
 def iterated_submonoid(f: Poly) -> GeneratedSubmonoid:
-    """Constant primes of Z[X] dividing the coefficient content of f."""
-    if ZXY.is_zero(f):
-        raise MathDomainError("cannot factor zero")
-    cont, _ = zxy_primitive(f)
-    cf = factor_poly_zx(cont)
-    return GeneratedSubmonoid(ZXY, [ZXY.constant(q) for q in cf.factors])
+    """Constant primes of Z[X] dividing the coefficient content of f: the
+    factors of Y-degree 0 in the direct engine's answer."""
+    return GeneratedSubmonoid(ZXY, [q for q in factor_bivariate(f).factors if len(q.coeffs) == 1])
 
 
 def factor_iterated(f: Poly) -> DescentResult:
-    """Factor over Z[X][Y]; descent from rational-function coefficients,
-    cross-checked against the Kronecker substitution engine."""
+    """Factor over Z[X][Y] by descent from Frac(Z[X])[Y] through the
+    constant primes of Z[X], the fraction-field route at R = Z[X]."""
     with request_memo():
-        direct = factor_bivariate(f)  # first: it rejects zero and the degree caps
-        res = descend_factor(f, ConstantPrimesOracle(iterated_submonoid(f), OVER_ZX, factor_bivariate))
-        _require_agreement(ZXY, direct, res.factorization, "substitution engine and descent disagree")
-    return res
+        oracle = ConstantPrimesOracle(iterated_submonoid(f), OVER_ZX, factor_bivariate)
+        return _descend_checked(f, oracle, factor_bivariate)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +227,6 @@ def compare_routes(f: Poly) -> CompareReport:
     Agreement is an equivalence (same value, same sorted canonical
     associates), so each descent route is checked against the direct engine
     and the third pair, laurent against fracfield, follows."""
-    if ZX.is_zero(f):
-        raise MathDomainError("cannot factor zero")
     with request_memo():
         runs = []
         t0 = time.perf_counter()

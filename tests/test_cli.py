@@ -17,7 +17,7 @@ from locfactor import routes
 from locfactor.basefactor import PrimeFactorization
 from locfactor.cli import main
 from locfactor.expr import parse_in_ring, render
-from locfactor.rings import ZX
+from locfactor.rings import ZX, ZXY
 from locfactor.selftest import kronecker_reference
 
 
@@ -25,6 +25,16 @@ def run_cli(args, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     return main(args)
+
+
+def _merging(ring, engine):
+    """``engine`` with the first two factors of each answer merged into one."""
+    def merged(f):
+        pf = engine(f)
+        if len(pf.factors) < 2:
+            return pf
+        return PrimeFactorization(pf.unit, (ring.mul(*pf.factors[:2]),) + pf.factors[2:])
+    return merged
 
 
 class TestFactorCommand:
@@ -231,6 +241,7 @@ class TestExitCodes:
             (["factor", "--route", "direct", f"{n}*X^17+{n}"], "degree 17 exceeds the desk-scale cap 16"),
             (["factor", f"{n}*X^4*Y^4+{n}"],
              "desk-scale limit: substitution image degree 40 exceeds the univariate cap 16"),
+            (["factor", f"{n}*(1000001*X*Y+1)"], "coefficient magnitude exceeds the desk-scale cap 1000000"),
         ):
             t0 = time.monotonic()
             assert main(argv) == 2
@@ -260,6 +271,13 @@ class TestExitCodes:
         )
         assert main(["factor", "T^-100*T^-100*T^-55"]) == 0  # 256 dense coefficients
         assert main(["factor", "T^-100*T^-100*T^-56"]) == 2
+        capsys.readouterr()
+        # over its one denominator X^255 this sum builds X^510 + 1, so T and
+        # T^-1 are charged in separate slots, which add
+        assert main(["factor", "T^-100*T^-100*T^-55 + T^100*T^100*T^55"]) == 2
+        assert capsys.readouterr().err == (
+            "error: desk-scale limit: degrees up to 510 in T and 0 in Y need 511 dense coefficients, over 256\n"
+        )
 
     def test_long_laurent_sum(self, capsys):
         # 1,000 terms T^-100 (8,997 characters, within every cap) add up
@@ -286,17 +304,8 @@ class TestExitCodes:
         its own primality check, so the route's one check against the direct
         engine is what catches it, and it exits 3 as a broken engine."""
         original = routes.LaurentOracle.__init__
-
-        def merging(engine):
-            def merged(f):
-                pf = engine(f)
-                if len(pf.factors) < 2:
-                    return pf
-                return PrimeFactorization(pf.unit, (ZX.mul(*pf.factors[:2]),) + pf.factors[2:])
-            return merged
-
         monkeypatch.setattr(routes.LaurentOracle, "__init__",
-                            lambda self, S, engine: original(self, S, merging(engine)))
+                            lambda self, S, engine: original(self, S, _merging(ZX, engine)))
         for command in (["factor", "--route", "laurent"], ["compare"]):
             assert main(command + ["(X^2+1)*(X^2+2)"]) == 3
             assert capsys.readouterr().err == (
@@ -304,22 +313,26 @@ class TestExitCodes:
                 "unit 1; factors [X^2 + 1, X^2 + 2] vs unit 1; factors [X^4 + 3*X^2 + 2]\n"
             )
 
+    def test_engine_that_merges_factors_of_bivariate_input(self, capsys, monkeypatch):
+        """The bivariate route has the same one check as the Z[X] routes, so
+        a constant-primes oracle whose engine merges its first two factors
+        is caught there too, against the substitution engine."""
+        original = routes.ConstantPrimesOracle.__init__
+        monkeypatch.setattr(routes.ConstantPrimesOracle, "__init__",
+                            lambda self, S, R, engine: original(self, S, R, _merging(ZXY, engine)))
+        assert main(["factor", "(X*Y+1)*(Y+X)"]) == 3
+        assert capsys.readouterr() == ("", (
+            "error: direct engine and the descent through Frac(Z[X])[Y] factorization disagree: "
+            "unit 1; factors [X*Y + 1, Y + X] vs unit 1; factors [X*Y^2 + (X^2 + 1)*Y + X]\n"
+        ))
+
     def test_engine_that_merges_factors_of_laurent_input(self, capsys, monkeypatch):
         """Laurent input is factored by the Laurent route, so the route's
         check against the direct engine catches the merging engine on it
         too, on every route that takes Laurent input."""
         original = routes.LaurentOracle.__init__
-
-        def merging(engine):
-            def merged(f):
-                pf = engine(f)
-                if len(pf.factors) < 2:
-                    return pf
-                return PrimeFactorization(pf.unit, (ZX.mul(*pf.factors[:2]),) + pf.factors[2:])
-            return merged
-
         monkeypatch.setattr(routes.LaurentOracle, "__init__",
-                            lambda self, S, engine: original(self, S, merging(engine)))
+                            lambda self, S, engine: original(self, S, _merging(ZX, engine)))
         for route in ("auto", "laurent", "direct"):
             assert main(["factor", "--route", route, "--", "(T^4+3*T^2+2)*T^-1"]) == 3
             assert capsys.readouterr() == ("", (

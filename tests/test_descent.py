@@ -106,12 +106,18 @@ class TestCertifyPrime:
             certify_prime(xy, oracle_y)
         assert certify_prime(ZXY.gen, oracle_y).replay()
 
-    def test_replay_detects_tampering(self, s2):
+    def test_replay_detects_tampering(self, s2, laurent_oracle):
         from locfactor.descent import PrimalityCertificate
 
         oracle = BaseEngineOracle(s2, factor_integer)
         bad = PrimalityCertificate(3, oracle, "generator", generator_index=0, unit=1)
         assert not bad.replay()  # 3 is not 1 * 2
+        # the decision refuses a proper multiple of a generator, zero and a
+        # unit, so their certificates do not replay, and raise nothing
+        for subject in (ZX.make([0, 1, 1]), ZX.zero, ZX.one):  # X^2 + X, 0, 1
+            assert not PrimalityCertificate(subject, laurent_oracle, "localization").replay()
+        # the decision finds X an associate of the generator
+        assert not PrimalityCertificate(ZX.gen, laurent_oracle, "localization").replay()
 
 
 class TestDescendFactor:

@@ -89,7 +89,7 @@ class TestParseErrors:
             with pytest.raises(DeskScaleError, match="exponent"):
                 parse_expr(bad)
         # nested exponents multiply along the chain: 5 * 21
-        assert _size_reach(_parse("2*((X+1)^5)^21")[0])[4] == 105
+        assert _size_reach(_parse("2*((X+1)^5)^21")[0])[5] == 105
         # rendered engine output is re-read without the cap
         assert LT.normal_form(parse_in_ring("-T^-150", LT)) == ((-150,), ZX.from_int(-1))
 
@@ -117,7 +117,7 @@ class TestParseErrors:
         for text in ("(3*X+5)^7*(X-1)", "(X+Y+1)^3 + 4*Y - 9", "-(2X+1)^5 + 7", "T^-3 + 5*T",
                      "(X+1)^16", "2^100*3^60", "X + X + X + X + X", "(12*X*Y - Y + 1)^4"):
             ring, e = parse_expr(text)
-            bits = _size_reach(_parse(text)[0])[2]
+            bits = _size_reach(_parse(text)[0])[3]
             assert one_norm(ring, e) <= 2**bits, text
 
 
@@ -125,9 +125,9 @@ class TestParseErrors:
         # X*X*X*X builds X^2 and X^3 before its value: 3 + 4; as a term of a
         # sum it is charged its own 5 coefficients with at least one bit,
         # and so is the term 1
-        assert _size_reach(_parse("X*X*X*X")[0])[3] == 7
-        assert _size_reach(_parse("X*X*X*X + 1")[0])[3] == 7 + 5 + 1
-        assert _size_reach(_parse("2*X")[0])[3] == 0
+        assert _size_reach(_parse("X*X*X*X")[0])[4] == 7
+        assert _size_reach(_parse("X*X*X*X + 1")[0])[4] == 7 + 5 + 1
+        assert _size_reach(_parse("2*X")[0])[4] == 0
         product = "*".join(["X"] * 255)
         assert parse_expr(product)[1] == ZX.make([0] * 255 + [1])
         with pytest.raises(DeskScaleError, match="the terms of sums need 263144 bits"):

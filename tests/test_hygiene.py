@@ -157,6 +157,17 @@ def test_no_function_takes_a_submonoid_beside_its_oracle():
     assert both == []
 
 
+def test_every_route_descends_through_one_check():
+    """Every descent route in ``routes`` runs ``_descend_checked``, so
+    ``descend_factor`` is read in no other function there."""
+    readers = sorted(
+        getattr(node, "name", f"line {node.lineno}")
+        for node in _modules()["routes.py"].body
+        if any(isinstance(n, ast.Name) and n.id == "descend_factor" for n in ast.walk(node))
+    )
+    assert readers == ["_descend_checked"]
+
+
 def test_cli_serves_only_names_that_routes_defines():
     """``cli`` serves the names in ``_ROUTES_NAMES`` from ``routes`` on first
     use, so each must be a module-level definition there."""

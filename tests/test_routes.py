@@ -185,7 +185,7 @@ class TestOracleEngineBinding:
         callers = self._count_callers(monkeypatch, "factor_bivariate")
         x2 = ZX.make([0, 0, 2])
         factor_iterated(ZXY.make([ZX.neg(x2), ZX.zero, x2]))  # 2X^2(Y-1)(Y+1)
-        assert callers == Counter({"factor_iterated": 1, "factor_fraction": 3})
+        assert callers == Counter({"iterated_submonoid": 1, "_descend_checked": 1, "factor_fraction": 3})
 
 
 class TestCompareRoutes:
