@@ -224,7 +224,7 @@ class BaseEngineOracle(LocalizationOracle):
         primes = []
         for q in pf.factors:
             if find_associate_generator(S, q) is None:
-                primes.append(Fraction(q, S.one_member()))
+                primes.append(embed(q, S))
             else:  # an associate of a generator is a unit of S^-1 R
                 unit_num = S.ring.mul(unit_num, q)
         return (Fraction(unit_num, x.den), tuple(primes))

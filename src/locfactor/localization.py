@@ -50,10 +50,17 @@ class GeneratedSubmonoid:
                 raise PreconditionError(f"submonoid generator {gn!r} is not prime")
             canon.append(gn)
         self.generators = tuple(canon)
-        self._one = SMember(self, (0,) * len(canon))
+        self._one = self.member((0,) * len(canon))
 
     def member(self, exponents) -> "SMember":
-        return SMember(self, tuple(exponents))
+        """The member with these generator exponents, which must be one
+        nonnegative integer per generator."""
+        exponents = tuple(exponents)
+        if len(exponents) != len(self.generators):
+            raise PreconditionError("exponent vector length does not match the generators")
+        if any(e < 0 for e in exponents):
+            raise PreconditionError("exponents must be nonnegative")
+        return SMember(self, exponents)
 
     def one_member(self) -> "SMember":
         return self._one
@@ -89,38 +96,18 @@ class GeneratedSubmonoid:
         return f"GeneratedSubmonoid({self.ring.name}, {list(self.generators)!r})"
 
 
-class SMember:
-    """A submonoid element together with its exponent-vector witness; its
-    value, the product of the generator powers, is computed on first use."""
+class SMember(NamedTuple):
+    """A submonoid element together with its exponent-vector witness; built
+    by ``GeneratedSubmonoid.member``, which checks the witness.  Its value,
+    the product of the generator powers, is computed each time it is read."""
 
-    __slots__ = ("submonoid", "exponents", "_value")
-
-    def __init__(self, submonoid: GeneratedSubmonoid, exponents: tuple):
-        if len(exponents) != len(submonoid.generators):
-            raise PreconditionError("exponent vector length does not match the generators")
-        if any(e < 0 for e in exponents):
-            raise PreconditionError("exponents must be nonnegative")
-        object.__setattr__(self, "submonoid", submonoid)
-        object.__setattr__(self, "exponents", tuple(exponents))
-        object.__setattr__(self, "_value", None)
-
-    def __setattr__(self, name, v):
-        raise AttributeError("SMember is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, SMember) and other.submonoid is self.submonoid
-                and other.exponents == self.exponents)
-
-    def __hash__(self):
-        return hash(self.exponents)
+    submonoid: GeneratedSubmonoid
+    exponents: tuple
 
     @property
     def value(self) -> Element:
-        if self._value is None:
-            ring = self.submonoid.ring
-            powers = (ring.pow(g, e) for g, e in zip(self.submonoid.generators, self.exponents) if e)
-            object.__setattr__(self, "_value", ring.prod(powers))
-        return self._value
+        ring = self.submonoid.ring
+        return ring.prod(ring.pow(g, e) for g, e in zip(self.submonoid.generators, self.exponents) if e)
 
     def mul(self, other: "SMember") -> "SMember":
         if other.submonoid is not self.submonoid:
@@ -129,13 +116,7 @@ class SMember:
             return self
         if not any(self.exponents):
             return other
-        return SMember(
-            self.submonoid,
-            tuple(a + b for a, b in zip(self.exponents, other.exponents)),
-        )
-
-    def __repr__(self):
-        return f"SMember({self.exponents!r} -> {self.value!r})"
+        return self.submonoid.member(a + b for a, b in zip(self.exponents, other.exponents))
 
 
 def witness_multiset(s: SMember) -> tuple:

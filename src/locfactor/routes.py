@@ -20,9 +20,11 @@ module, by the engines and ``descend_factor``.
 The fraction-field and bivariate routes are one construction, as in the
 paper: R[Y] localized at the constant primes of R and compared with
 Frac(R)[Y], for R = Z and R = Z[X].  ``ConstantPrimesOracle`` realizes its
-factorization once, by Gauss's lemma on R[Y]: it computes in R[Y] alone, and
-needs of R only the split into content and primitive part that the
-``CoefficientRing`` records ``OVER_Z`` and ``OVER_ZX`` supply.
+factorization once, by Gauss's lemma on R[Y]: it reads the answer of the
+direct engine of R[Y], whose constant factors are units of Frac(R)[Y] and
+whose other factors are its primes.  So each descent route asks only its
+ring's direct engine, and the fraction-field route ``factor_integer`` for
+the leading coefficient of the primitive part.
 
 Every oracle here implements ``factor_fraction`` alone; primality and
 divisibility in the localization are derived from it by
@@ -32,6 +34,7 @@ divisibility in the localization are derived from it by
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from typing import Callable, NamedTuple, Optional
 
@@ -42,14 +45,13 @@ from .basefactor import (
     factor_bivariate,
     factor_integer,
     factor_poly_zx,
-    kronecker_factor,
     request_memo,
 )
 from .descent import BaseEngineOracle, DescentResult, LocalizationOracle, descend_factor
 from .descent import certify_prime  # unused; a benchmark test reads it (ROADMAP item 1)
 from .errors import OracleViolationError
 from .localization import LT, Fraction, GeneratedSubmonoid, embed
-from .rings import ZX, ZXY, Poly, poly_primitive, zxy_primitive
+from .rings import ZX, ZXY, Poly
 
 
 # ---------------------------------------------------------------------------
@@ -127,43 +129,30 @@ def factor_laurent(f: Fraction) -> DescentResult:
 # ---------------------------------------------------------------------------
 # constant primes: R[Y] localized at the constant primes of R, for R = Z, Z[X]
 
-class CoefficientRing(NamedTuple):
-    """What the constant-primes oracle needs of the coefficient ring R."""
-
-    name: str  # the oracle's name in certificates
-    primitive: Callable  # R[Y] -> (content c in R, primitive part p), c * p == input
-
-
-OVER_Z = CoefficientRing("Q[X] factorization", poly_primitive)
-OVER_ZX = CoefficientRing("Frac(Z[X])[Y] factorization", zxy_primitive)
-
-
 class ConstantPrimesOracle(LocalizationOracle):
     """Localization of R[Y] at constant primes of R, compared with Frac(R)[Y]
     by Gauss's lemma on R[Y].
 
-    A primitive polynomial factors the same way over R and over Frac(R); the
-    content is a unit of Frac(R)[Y], and of S^-1 R[Y] only if it strips to
-    one.  So ``engine``, the R[Y] factorizer of primitive polynomials,
-    answers for Frac(R)[Y] and the prime fractions need no denominators.  A
+    ``engine`` is the direct engine of R[Y].  By Gauss's lemma its
+    non-constant factors are the primes of Frac(R)[Y], so the prime fractions
+    need no denominators, and its constant factors are units there: they go
+    into the unit fraction, a unit of S^-1 R[Y] only if it strips to one.  A
     constant is thus never prime here, and 3*X + 3 is not prime over <2>:
     its unit fraction 3 does not strip to a unit.  The engine is passed in
     rather than captured, so a caller that rebinds it by name is seen here
     too.
     """
 
-    def __init__(self, S: GeneratedSubmonoid, R: CoefficientRing, engine):
+    def __init__(self, S: GeneratedSubmonoid, name: str, engine):
         self.S = S
-        self.R = R
+        self.name = name
         self.engine = engine
-        self.name = R.name
 
     def factor_fraction(self, x: Fraction) -> tuple[Fraction, tuple]:
-        ring = self.S.ring
-        c, prim = self.R.primitive(x.num)
-        pf = self.engine(prim)
-        unit_frac = Fraction(ring.mul(ring.constant(c), pf.unit), x.den)
-        return (unit_frac, tuple(Fraction(q, self.S.one_member()) for q in pf.factors))
+        pf = self.engine(x.num)
+        constants = [q for q in pf.factors if len(q.coeffs) == 1]
+        primes = tuple(embed(q, self.S) for q in pf.factors if len(q.coeffs) > 1)
+        return (Fraction(self.S.ring.prod([pf.unit, *constants]), x.den), primes)
 
 
 def fracfield_submonoid(f: Poly) -> GeneratedSubmonoid:
@@ -174,19 +163,21 @@ def fracfield_submonoid(f: Poly) -> GeneratedSubmonoid:
     are the primes of the content and of the leading coefficient.  These also
     cover the denominators of the monic Q[X] factors: each is the leading
     coefficient of a primitive integer factor, which divides the leading
-    coefficient of the primitive part.  The content primes are the constant
-    factors of the direct engine's answer, whose caps refuse before any
-    integer is factored.
+    coefficient of the primitive part.  Both are read off the direct
+    engine's answer, whose caps refuse before any integer is factored: the
+    content primes are its constant factors, and the primitive part's
+    leading coefficient is the product of the others'.
     """
-    content = [q for q in factor_poly_zx(f).factors if len(q.coeffs) == 1]
-    lead = factor_integer(poly_primitive(f)[1].coeffs[-1]).factors
+    pf = factor_poly_zx(f)
+    content = [q for q in pf.factors if len(q.coeffs) == 1]
+    lead = factor_integer(math.prod(q.coeffs[-1] for q in pf.factors if len(q.coeffs) > 1)).factors
     return GeneratedSubmonoid(ZX, content + [ZX.constant(p) for p in lead])
 
 
 def factor_zx_via_fraction_field(f: Poly) -> DescentResult:
     """Descend a Z[X] factorization from Q[X] through the constant primes."""
     with request_memo():
-        oracle = ConstantPrimesOracle(fracfield_submonoid(f), OVER_Z, kronecker_factor)
+        oracle = ConstantPrimesOracle(fracfield_submonoid(f), "Q[X] factorization", factor_poly_zx)
         return _descend_checked(f, oracle, factor_poly_zx)
 
 
@@ -200,7 +191,7 @@ def factor_iterated(f: Poly) -> DescentResult:
     """Factor over Z[X][Y] by descent from Frac(Z[X])[Y] through the
     constant primes of Z[X], the fraction-field route at R = Z[X]."""
     with request_memo():
-        oracle = ConstantPrimesOracle(iterated_submonoid(f), OVER_ZX, factor_bivariate)
+        oracle = ConstantPrimesOracle(iterated_submonoid(f), "Frac(Z[X])[Y] factorization", factor_bivariate)
         return _descend_checked(f, oracle, factor_bivariate)
 
 

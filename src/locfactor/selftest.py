@@ -46,8 +46,6 @@ from .localization import (
 )
 from .rings import ZX, ZXY, ZZ, Poly, poly_content, poly_primitive, zxy_x_degree
 from .routes import (
-    OVER_Z,
-    OVER_ZX,
     ConstantPrimesOracle,
     compare_routes,
     factor_laurent,
@@ -212,24 +210,6 @@ def _eval_points(count: int) -> list[int]:
     return pts
 
 
-def _list_add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] += v
-    return out
-
-
-def _list_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _find_proper_factor(g: Poly) -> Optional[Poly]:
     """First proper divisor of a primitive g found by the interpolation search,
     canonicalized; None certifies irreducibility."""
@@ -269,14 +249,12 @@ def _find_proper_factor(g: Poly) -> Optional[Poly]:
         if k > d:
             if cs[d] == 0:
                 return None  # degree < d; already covered by a smaller d
-            poly: list[int] = [0]
-            basis = [1]
+            cand, basis = ZX.zero, ZX.one
             for j in range(d + 1):
                 if cs[j]:
-                    poly = _list_add(poly, [cs[j] * b for b in basis])
+                    cand = ZX.add(cand, ZX.mul(ZX.constant(cs[j]), basis))
                 if j < d:
-                    basis = _list_mul(basis, [-pts[j], 1])
-            cand = ZX.make(poly)
+                    basis = ZX.mul(basis, ZX.make([-pts[j], 1]))
             if poly_content(cand) != 1:
                 return None  # a primitive polynomial has primitive divisors
             _, candc = ZX.canonical_associate(cand)
@@ -594,17 +572,17 @@ def _divides_instance(rng):
         S = GeneratedSubmonoid(ring, chosen[1:])
         return ring, S, chosen[0], BaseEngineOracle(S, engine)
     if kind == 2:
-        ring, R, engine = ZX, OVER_Z, kronecker_factor
+        ring, name, engine = ZX, "Q[X] factorization", factor_poly_zx
         constants = [ZX.constant(q) for q in _INT_PRIMES]
         others = [ZX.make(c) for c in _ZX_PRIMES_COEFFS]
     else:
-        ring, R, engine = ZXY, OVER_ZX, factor_bivariate
+        ring, name, engine = ZXY, "Frac(Z[X])[Y] factorization", factor_bivariate
         constants = [expr.parse_in_ring(t, ZXY) for t in ("X", "X+1", "2", "3")]
         others = [expr.parse_in_ring(t, ZXY) for t in ("Y", "Y+X", "X*Y+1", "Y^2+X", "2*Y+X")]
     gens = rng.sample(constants, rng.randint(1, 3))
     p = rng.choice([q for q in constants + others if q not in gens])
     S = GeneratedSubmonoid(ring, gens)
-    return ring, S, p, ConstantPrimesOracle(S, R, engine)
+    return ring, S, p, ConstantPrimesOracle(S, name, engine)
 
 
 def suite_loc_transfer_prime_divides(rng, trials):

@@ -10,7 +10,6 @@ from locfactor.basefactor import (
     factor_bivariate,
     factor_integer,
     factor_poly_zx,
-    kronecker_factor,
 )
 from locfactor.descent import (
     BaseEngineOracle,
@@ -25,7 +24,7 @@ from locfactor.errors import (
 )
 from locfactor.localization import LT, Fraction, GeneratedSubmonoid, embed, transfer_prime_divides
 from locfactor.rings import ZX, ZXY, ZZ
-from locfactor.routes import OVER_Z, OVER_ZX, ConstantPrimesOracle, LaurentOracle
+from locfactor.routes import ConstantPrimesOracle, LaurentOracle
 from locfactor.selftest import rand_bivariate, rand_zx
 
 
@@ -90,7 +89,7 @@ class TestCertifyPrime:
         2*X + 2 is prime, and a constant, a unit over the fraction field, is
         not."""
         S = GeneratedSubmonoid(ZX, [ZX.from_int(2)])
-        oracle = ConstantPrimesOracle(S, OVER_Z, kronecker_factor)
+        oracle = ConstantPrimesOracle(S, "Q[X] factorization", factor_poly_zx)
         assert not oracle.is_prime_embedded(ZX.make([3, 3]))
         assert oracle.is_prime_embedded(ZX.make([2, 2]))
         assert not oracle.is_prime_embedded(ZX.from_int(3))
@@ -98,7 +97,7 @@ class TestCertifyPrime:
             certify_prime(ZX.make([3, 3]), oracle)
         assert certify_prime(ZX.make([1, 1]), oracle).replay()
         SY = GeneratedSubmonoid(ZXY, [ZXY.constant(ZX.from_int(2))])
-        oracle_y = ConstantPrimesOracle(SY, OVER_ZX, factor_bivariate)
+        oracle_y = ConstantPrimesOracle(SY, "Frac(Z[X])[Y] factorization", factor_bivariate)
         xy = ZXY.make([ZX.zero, ZX.gen])
         assert not oracle_y.is_prime_embedded(xy)
         assert not oracle_y.is_prime_embedded(ZXY.constant(ZX.gen))
@@ -129,7 +128,7 @@ class TestDescendFactor:
 
     def test_constant_prime_route_fragment(self):
         S = GeneratedSubmonoid(ZX, [ZX.from_int(2)])
-        res = descend_factor(ZX.make([2, 2]), ConstantPrimesOracle(S, OVER_Z, kronecker_factor))
+        res = descend_factor(ZX.make([2, 2]), ConstantPrimesOracle(S, "Q[X] factorization", factor_poly_zx))
         assert res.factorization.factors == (ZX.from_int(2), ZX.make([1, 1]))
         assert [c.case for c in res.certificates] == ["generator", "localization"]
         assert check_factorization_unique(
@@ -267,20 +266,21 @@ class TestDerivedOracleMethods:
             certify_prime(9, oracle)
 
     @pytest.mark.parametrize(
-        "S, R, engine, rand",
+        "S, name, engine, rand",
         [
-            (GeneratedSubmonoid(ZX, [ZX.from_int(2), ZX.from_int(3)]), OVER_Z, kronecker_factor, rand_zx),
+            (GeneratedSubmonoid(ZX, [ZX.from_int(2), ZX.from_int(3)]),
+             "Q[X] factorization", factor_poly_zx, rand_zx),
             (GeneratedSubmonoid(ZXY, [ZXY.constant(ZX.from_int(2)), ZXY.constant(ZX.gen)]),
-             OVER_ZX, factor_bivariate, rand_bivariate),
+             "Frac(Z[X])[Y] factorization", factor_bivariate, rand_bivariate),
         ],
         ids=["ZX", "ZXY"],
     )
-    def test_divides_witness_on_random_pairs(self, S, R, engine, rand):
+    def test_divides_witness_on_random_pairs(self, S, name, engine, rand):
         """s.value * y == x * c whenever a witness is found; when none is,
         x does not divide its own generator part times y in R."""
         rng = random.Random(f"derived-divides-{S.ring.name}")
         ring = S.ring
-        oracle = ConstantPrimesOracle(S, R, engine)
+        oracle = ConstantPrimesOracle(S, name, engine)
         found = 0
         for _ in range(40):
             x0 = rand(rng, nonzero=True)

@@ -205,3 +205,22 @@ def test_each_record_field_is_read():
         and field.target.id not in read
     ]
     assert unread == []
+
+
+def test_routes_ask_only_the_engines():
+    """By Gauss's lemma the constant-primes oracle reads its ring's direct
+    engine, so ``routes`` imports no content split and no engine for
+    primitive polynomials alone."""
+    allowed = {
+        "basefactor": {"PrimeFactorization", "check_factorization_unique", "factor_bivariate",
+                       "factor_integer", "factor_poly_zx", "request_memo"},
+        "rings": {"ZX", "ZXY", "Poly"},
+    }
+    extra = {
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(_modules()["routes.py"])
+        if isinstance(node, ast.ImportFrom) and node.module in allowed
+        for alias in node.names
+        if alias.name not in allowed[node.module]
+    }
+    assert extra == set()

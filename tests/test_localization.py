@@ -3,7 +3,7 @@ algorithms, including the documented error taxonomy."""
 
 import pytest
 
-from locfactor.basefactor import factor_bivariate, factor_integer, factor_poly_zx, kronecker_factor
+from locfactor.basefactor import factor_bivariate, factor_integer, factor_poly_zx
 from locfactor.descent import BaseEngineOracle
 from locfactor.errors import MathDomainError, OracleViolationError, PreconditionError
 from locfactor.localization import (
@@ -25,7 +25,7 @@ from locfactor.localization import (
     witness_multiset,
 )
 from locfactor.rings import ZX, ZXY, ZZ
-from locfactor.routes import OVER_Z, OVER_ZX, ConstantPrimesOracle, LaurentOracle
+from locfactor.routes import ConstantPrimesOracle, LaurentOracle
 from locfactor.selftest import brute_force_avoids
 
 
@@ -70,6 +70,11 @@ class TestSubmonoid:
     def test_zero_exclusion(self, s23):
         for exps in [(0, 0), (3, 2), (8, 0)]:
             assert s23.member(exps).value != 0
+
+    def test_member_checks_its_witness(self, s23):
+        for exps in [(1,), (1, 0, 2), (1, -1)]:
+            with pytest.raises(PreconditionError):
+                s23.member(exps)
 
     def test_strip(self, s23):
         exps, rest = s23.strip(-24)
@@ -247,7 +252,7 @@ class TestTransferPrimeDivides:
 
     def test_constant_primes_oracle_over_z(self):
         S = GeneratedSubmonoid(ZX, [ZX.from_int(2)])
-        oracle = ConstantPrimesOracle(S, OVER_Z, kronecker_factor)
+        oracle = ConstantPrimesOracle(S, "Q[X] factorization", factor_poly_zx)
         p = ZX.make([1, 1])  # X + 1
         a = ZX.mul(ZX.from_int(4), ZX.mul(p, ZX.make([-2, 1])))  # 4(X+1)(X-2)
         b = ZX.make([3, 0, 1])  # X^2 + 3
@@ -260,7 +265,7 @@ class TestTransferPrimeDivides:
 
     def test_constant_primes_oracle_over_zx(self):
         S = GeneratedSubmonoid(ZXY, [ZXY.constant(ZX.gen)])
-        oracle = ConstantPrimesOracle(S, OVER_ZX, factor_bivariate)
+        oracle = ConstantPrimesOracle(S, "Frac(Z[X])[Y] factorization", factor_bivariate)
         p = ZXY.make([ZX.make([1, 1]), ZX.one])  # Y + X + 1
         q = ZXY.make([ZX.make([0, -1]), ZX.gen])  # X(Y - 1)
         a = ZXY.mul(p, q)

@@ -7,8 +7,8 @@ import pytest
 from locfactor.basefactor import PrimeFactorization
 from locfactor.cli import FactorOutcome
 from locfactor.descent import DescentResult, PrimalityCertificate
-from locfactor.localization import Fraction, IrreducibilityCertificate
-from locfactor.routes import CoefficientRing, CompareReport, RouteRun
+from locfactor.localization import Fraction, IrreducibilityCertificate, SMember
+from locfactor.routes import CompareReport, RouteRun
 from locfactor.selftest import SelfTestReport
 
 RECORDS = [
@@ -18,7 +18,7 @@ RECORDS = [
     (DescentResult, ("factorization", "certificates")),
     (Fraction, ("num", "den")),
     (IrreducibilityCertificate, ("submonoid", "subject", "non_unit")),
-    (CoefficientRing, ("name", "primitive")),
+    (SMember, ("submonoid", "exponents")),
     (RouteRun, ("route", "factorization", "certificates", "elapsed")),
     (CompareReport, ("runs", "agreements")),
     (SelfTestReport, ("ok", "lines")),

@@ -116,6 +116,10 @@ class TestFractionFieldRoute:
         # primes of the leading coefficient 6, in that order
         S = fracfield_submonoid(ZX.make([1, 5, 6]))
         assert S.generators == (ZX.from_int(2), ZX.from_int(3))
+        # -10(2X + 1)(3X + 1): the content primes come first, then the
+        # leading coefficient's new ones
+        S = fracfield_submonoid(ZX.make([-10, -50, -60]))
+        assert S.generators == (ZX.from_int(2), ZX.from_int(5), ZX.from_int(3))
 
     def test_empty_generator_set(self):
         S = fracfield_submonoid(ZX.make([-1, 0, 1]))
@@ -177,9 +181,9 @@ class TestOracleEngineBinding:
         return callers
 
     def test_fraction_field_route(self, monkeypatch):
-        callers = self._count_callers(monkeypatch, "kronecker_factor")
+        callers = self._count_callers(monkeypatch, "factor_poly_zx")
         factor_zx_via_fraction_field(ZX.make([-2, 0, 2]))  # 2(X-1)(X+1)
-        assert callers == Counter({"factor_fraction": 3})
+        assert callers == Counter({"fracfield_submonoid": 1, "_descend_checked": 1, "factor_fraction": 3})
 
     def test_iterated_route(self, monkeypatch):
         callers = self._count_callers(monkeypatch, "factor_bivariate")
