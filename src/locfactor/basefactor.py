@@ -17,6 +17,8 @@ These are the base oracles everything else is cross-checked against:
 
 Inside ``request_memo`` each of the three polynomial engines factors each
 distinct input once, and ``is_irreducible`` answers from the same memo.
+``ROUTE_TABLE`` names each ring's direct engine and descent routes, for
+``cli``, ``routes`` and ``is_irreducible``, without loading any of them.
 
 ``PrimeFactorization`` is the universal output format: a unit together with a
 multiset (stored as a sorted tuple) of canonical irreducible factors, so that
@@ -881,16 +883,42 @@ def _factor_bivariate_uncached(f: Poly) -> PrimeFactorization:
 
 
 # ---------------------------------------------------------------------------
-# irreducibility / primality oracles
+# the route table, and irreducibility by the direct engines
 
-def _engine_for(ring: Ring) -> Optional[Callable]:
-    if ring == ZX:  # first: the most frequent ring, matched by identity
-        return factor_poly_zx
-    if ring == ZXY:
-        return factor_bivariate
-    if ring == ZZ:
-        return factor_integer
-    return None
+class Route(NamedTuple):  # a descent route
+    choice: str  # the ``--route`` choice that selects it
+    printed: str  # the route it prints
+    function: str  # the ``routes`` function that runs it
+
+
+class RingRoutes(NamedTuple):
+    """What ``factor`` and ``compare`` offer on one ring.  Engines and routes
+    are named, and looked up when a request runs: a direct request loads no
+    descent module, and a wrapper bound over a name is seen.  A ring without
+    a direct engine answers ``direct`` with its ``auto`` route."""
+
+    direct: Optional[str]  # the ring's direct engine, a function of this module
+    descents: tuple  # its descent routes, in the order ``compare`` runs them
+    auto: str  # the choice ``--route auto`` takes
+    noun: str  # what the refusal of a route calls the input
+
+
+ROUTE_TABLE = {  # keyed by ``Ring.name``
+    ZZ.name: RingRoutes("factor_integer", (), "direct", "integers"),
+    ZX.name: RingRoutes("factor_poly_zx", (Route("laurent", "laurent", "factor_zx_via_laurent"),
+                                           Route("fracfield", "fracfield", "factor_zx_via_fraction_field")),
+                        "fracfield", "Z[X] input"),
+    ZXY.name: RingRoutes("factor_bivariate", (Route("fracfield", "iterated", "factor_iterated"),),
+                         "fracfield", "bivariate input"),
+    "Z[T,T^-1]": RingRoutes(None, (Route("laurent", "laurent", "factor_laurent"),), "laurent", "Laurent input"),
+}
+
+
+def direct_engine(ring: Ring) -> Optional[Callable]:
+    """The direct engine that ``ROUTE_TABLE`` names for ``ring``, looked up
+    here when called; None for a ring without one."""
+    row = ROUTE_TABLE.get(ring.name)
+    return globals()[row.direct] if row and row.direct else None
 
 
 def is_irreducible(ring: Ring, a: Element) -> bool:
@@ -898,10 +926,10 @@ def is_irreducible(ring: Ring, a: Element) -> bool:
     Inside ``request_memo`` the factorization comes from the memo."""
     if ring.is_zero(a) or ring.is_unit(a):
         return False
-    engine = _engine_for(ring)
-    if engine is not None:
-        return len(engine(a).factors) == 1
-    raise MathDomainError(f"no irreducibility oracle for {ring.name}")
+    engine = direct_engine(ring)
+    if engine is None:
+        raise MathDomainError(f"no irreducibility oracle for {ring.name}")
+    return len(engine(a).factors) == 1
 
 
 def check_factorization_unique(ring: Ring, f1: PrimeFactorization, f2: PrimeFactorization) -> bool:

@@ -21,15 +21,10 @@ import time
 from typing import NamedTuple, Optional
 
 from . import expr
-from .basefactor import (
-    PrimeFactorization,
-    factor_bivariate,
-    factor_integer,
-    factor_poly_zx,
-    request_memo,
-)
+from .basefactor import ROUTE_TABLE, PrimeFactorization, direct_engine, request_memo
+from .basefactor import factor_integer  # unused; a benchmark test reads it (ROADMAP item 1)
 from .errors import LocFactorError, OracleViolationError, ParseError
-from .rings import ZX, ZXY, ZZ, Ring
+from .rings import Ring
 
 JSON_SCHEMA_VERSION = "1"
 
@@ -86,48 +81,25 @@ def _rendered(ring: Ring, elements) -> dict:
 
 
 def run_factor(ring: Ring, element, route: str) -> FactorOutcome:
-    """Dispatch to the engine matching the ring and requested route.
-
-    The dispatch runs inside one request memo, so each distinct primitive
-    polynomial is factored by the Z[X] engine once.
+    """Run the requested route of the ring's row in ``ROUTE_TABLE``, inside
+    one request memo, so each distinct primitive polynomial is factored by
+    the Z[X] engine once.  A descent route loads the descent layer on first
+    use; a route the row does not list is refused before anything runs.
     """
+    row = ROUTE_TABLE[ring.name]
+    choice = row.auto if route == "auto" or (route == "direct" and row.direct is None) else route
+    descent = next((d for d in row.descents if d.choice == choice), None)
+    if choice != "direct" and descent is None:
+        raise UsageError(f"route {choice!r} is not available for {row.noun}")
     t0 = time.perf_counter()
-    certs = None
     with request_memo():
-        if ring == ZZ:
-            if route not in ("auto", "direct"):
-                raise UsageError(f"route {route!r} is not available for integers")
-            route, pf = "direct", factor_integer(element)
-        elif ring == ZX:
-            if route in ("auto", "fracfield"):
-                from . import routes
-
-                route, res = "fracfield", routes.factor_zx_via_fraction_field(element)
-                pf, certs = res.factorization, res.certificates
-            elif route == "laurent":
-                from . import routes
-
-                res = routes.factor_zx_via_laurent(element)
-                pf, certs = res.factorization, res.certificates
-            else:
-                route, pf = "direct", factor_poly_zx(element)
-        elif ring == ZXY:
-            if route in ("auto", "fracfield"):
-                from . import routes
-
-                route, res = "iterated", routes.factor_iterated(element)
-                pf, certs = res.factorization, res.certificates
-            elif route == "direct":
-                pf = factor_bivariate(element)
-            else:
-                raise UsageError(f"route {route!r} is not available for bivariate input")
-        else:  # Laurent input
-            if route == "fracfield":
-                raise UsageError("route 'fracfield' is not available for Laurent input")
+        if descent is None:
+            route, pf, certs = "direct", direct_engine(ring)(element), None
+        else:
             from . import routes
 
-            route, res = "laurent", routes.factor_laurent(element)
-            pf, certs = res.factorization, res.certificates
+            res = getattr(routes, descent.function)(element)
+            route, pf, certs = descent.printed, res.factorization, res.certificates
     elapsed = time.perf_counter() - t0
     return FactorOutcome(ring, route, pf, certs, elapsed, _rendered(ring, (pf.unit, *pf.factors)))
 
@@ -195,10 +167,10 @@ def _cert_summary(certificates) -> str:
     return f"  (certificates: {inner})"
 
 
-def _compare_text(report, text: str, verbose: bool) -> str:
-    lines = [f"input: {text}", "ring: Z[X]"]
+def _compare_text(ring: Ring, report, text: str, verbose: bool) -> str:
+    lines = [f"input: {text}", f"ring: {ring.name}"]
     pfs = [run.factorization for run in report.runs]
-    texts = _rendered(ZX, (a for pf in pfs for a in (pf.unit, *pf.factors)))
+    texts = _rendered(ring, (a for pf in pfs for a in (pf.unit, *pf.factors)))
     for run, pf in zip(report.runs, pfs):
         factors = ", ".join(texts[q] for q in pf.factors)
         lines.append(f"{run.route}: unit {texts[pf.unit]}; factors [{factors}]{_cert_summary(run.certificates)}")
@@ -226,11 +198,11 @@ def _factor_one(args, text: str) -> str:
 
 def _compare_one(args, text: str) -> str:
     ring, element = expr.parse_expr(text)
-    if ring != ZX:
+    if len(ROUTE_TABLE[ring.name].descents) < 2:
         raise UsageError("compare requires a Z[X] expression")
     from . import routes
 
-    return _compare_text(routes.compare_routes(element), text, args.verbose)
+    return _compare_text(ring, routes.compare_routes(element), text, args.verbose)
 
 
 def _run_inputs(args, one, separate: bool) -> int:

@@ -10,10 +10,12 @@ each other:
                    and compare with Q[X]
 
 Laurent input takes the laurent route too (``factor_laurent``), and Z[X][Y]
-the bivariate route, which descends the same way from Frac(Z[X])[Y].  Each
-descent route is an oracle over a submonoid and one ``_descend_checked``
-call, which pulls the factors back and checks them against the direct
-engine, ``factor_poly_zx`` or the Y -> X^D substitution engine
+the bivariate route, which descends the same way from Frac(Z[X])[Y].
+``basefactor.ROUTE_TABLE`` names each of these functions under its ring, for
+``factor --route`` and ``compare_routes``.  Each descent route is an oracle
+over a submonoid and one ``_descend_checked`` call, which pulls the factors
+back and checks them against the direct engine that the table names for the
+oracle's ring, ``factor_poly_zx`` or the Y -> X^D substitution engine
 ``factor_bivariate``.  Zero and input over a cap are refused below this
 module, by the engines and ``descend_factor``.
 
@@ -36,12 +38,14 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import expr
 from .basefactor import (
+    ROUTE_TABLE,
     PrimeFactorization,
     check_factorization_unique,
+    direct_engine,
     factor_bivariate,
     factor_integer,
     factor_poly_zx,
@@ -81,9 +85,9 @@ def _require_agreement(ring, a: PrimeFactorization, b: PrimeFactorization, what:
     raise OracleViolationError(f"{what}: {shown[0]} vs {shown[1]}")
 
 
-def _descend_checked(f: Poly, oracle: LocalizationOracle, direct: Callable) -> DescentResult:
+def _descend_checked(f: Poly, oracle: LocalizationOracle) -> DescentResult:
     """``descend_factor``, then one check in ``oracle.S.ring`` of the
-    localization-case factors against the direct engine on their value, the
+    localization-case factors against its direct engine on their value, the
     stripped residue a0 (not on f: the oracle has factored a0, so the check
     meets no new cap); the descent's reconstruction covers the generators."""
     res = descend_factor(f, oracle)
@@ -92,7 +96,7 @@ def _descend_checked(f: Poly, oracle: LocalizationOracle, direct: Callable) -> D
         pf.unit, tuple(q for q, c in zip(pf.factors, res.certificates) if c.case == "localization")
     )
     what = f"direct engine and the descent through {oracle.name} disagree"
-    _require_agreement(ring, direct(local.value(ring)), local, what)
+    _require_agreement(ring, direct_engine(ring)(local.value(ring)), local, what)
     return res
 
 
@@ -103,7 +107,7 @@ def factor_zx_via_laurent(f: Poly) -> DescentResult:
     this is the same ``descend_factor`` that the other routes run.
     """
     with request_memo():
-        return _descend_checked(f, LaurentOracle(LT.S, factor_poly_zx), factor_poly_zx)
+        return _descend_checked(f, LaurentOracle(LT.S, factor_poly_zx))
 
 
 def factor_laurent(f: Fraction) -> DescentResult:
@@ -178,7 +182,7 @@ def factor_zx_via_fraction_field(f: Poly) -> DescentResult:
     """Descend a Z[X] factorization from Q[X] through the constant primes."""
     with request_memo():
         oracle = ConstantPrimesOracle(fracfield_submonoid(f), "Q[X] factorization", factor_poly_zx)
-        return _descend_checked(f, oracle, factor_poly_zx)
+        return _descend_checked(f, oracle)
 
 
 def iterated_submonoid(f: Poly) -> GeneratedSubmonoid:
@@ -192,7 +196,7 @@ def factor_iterated(f: Poly) -> DescentResult:
     constant primes of Z[X], the fraction-field route at R = Z[X]."""
     with request_memo():
         oracle = ConstantPrimesOracle(iterated_submonoid(f), "Frac(Z[X])[Y] factorization", factor_bivariate)
-        return _descend_checked(f, oracle, factor_bivariate)
+        return _descend_checked(f, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -211,27 +215,22 @@ class CompareReport(NamedTuple):
 
 
 def compare_routes(f: Poly) -> CompareReport:
-    """Run the direct engine and both descent routes; insist on pairwise
-    agreement up to associates.  The routes share ``kronecker_factor``
-    answers through one request memo, and nothing else.
+    """Run the direct engine, then each descent route of Z[X] in table order;
+    insist on pairwise agreement up to associates.  The routes share
+    ``kronecker_factor`` answers through one request memo, and nothing else.
 
     Agreement is an equivalence (same value, same sorted canonical
     associates), so each descent route is checked against the direct engine
-    and the third pair, laurent against fracfield, follows."""
+    and the pairs between descent routes follow."""
     with request_memo():
-        runs = []
         t0 = time.perf_counter()
-        direct = factor_poly_zx(f)
-        runs.append(RouteRun("direct", direct, None, time.perf_counter() - t0))
-        t0 = time.perf_counter()
-        lau = factor_zx_via_laurent(f)
-        runs.append(RouteRun("laurent", lau.factorization, lau.certificates, time.perf_counter() - t0))
-        t0 = time.perf_counter()
-        ff = factor_zx_via_fraction_field(f)
-        runs.append(RouteRun("fracfield", ff.factorization, ff.certificates, time.perf_counter() - t0))
+        direct = direct_engine(ZX)(f)
+        runs = [RouteRun("direct", direct, None, time.perf_counter() - t0)]
+        for route in ROUTE_TABLE[ZX.name].descents:
+            t0 = time.perf_counter()
+            res = globals()[route.function](f)
+            runs.append(RouteRun(route.printed, res.factorization, res.certificates, time.perf_counter() - t0))
         for run in runs[1:]:
-            _require_agreement(
-                ZX, direct, run.factorization, f"route disagreement between direct and {run.route}"
-            )
+            _require_agreement(ZX, direct, run.factorization, f"route disagreement between direct and {run.route}")
         agreements = tuple(itertools.combinations((run.route for run in runs), 2))
         return CompareReport(tuple(runs), agreements)

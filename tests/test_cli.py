@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locfactor import routes
+from locfactor import basefactor, routes
 from locfactor.basefactor import PrimeFactorization
 from locfactor.cli import main
 from locfactor.expr import parse_in_ring, render
-from locfactor.rings import ZX, ZXY
+from locfactor.localization import LT
+from locfactor.rings import ZX, ZXY, ZZ
 from locfactor.selftest import kronecker_reference
 
 
@@ -83,6 +84,28 @@ class TestFactorCommand:
     def test_unit_input(self, capsys):
         assert main(["factor", "1"]) == 0
         assert "(none; the input is a unit)" in capsys.readouterr().out
+
+    def test_engines_are_looked_up_when_the_request_runs(self, monkeypatch):
+        """``run_factor`` and the routes' check read each direct engine's name
+        from ``basefactor.ROUTE_TABLE`` when the request runs, so a wrapper
+        bound over the name in ``basefactor`` (as a tracer installs one) sees
+        every direct request and every check."""
+        callers = {name: Counter() for name in ("factor_integer", "factor_poly_zx", "factor_bivariate")}
+        for name, seen in callers.items():
+            def counting(*args, original=getattr(basefactor, name), seen=seen):
+                seen[sys._getframe(1).f_code.co_name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(basefactor, name, counting)
+        for text, engine in (("6", "factor_integer"), ("X^4+1", "factor_poly_zx"), ("X*Y+X", "factor_bivariate")):
+            callers[engine].clear()
+            assert main(["factor", "--route", "direct", "--", text]) == 0
+            assert callers[engine] == Counter({"run_factor": 1}), text
+        assert main(["factor", "--route", "laurent", "--", "X^2-1"]) == 0
+        assert callers["factor_poly_zx"]["_descend_checked"] == 1
+
+    def test_route_table_has_a_row_for_each_parsed_ring(self):
+        assert set(basefactor.ROUTE_TABLE) == {ring.name for ring in (ZZ, ZX, ZXY, LT)}
 
 
 class TestExitCodes:

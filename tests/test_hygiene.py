@@ -10,11 +10,14 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "locfactor"
 TESTS = Path(__file__).resolve().parent
 
-# The one import kept unused: routes binds certify_prime only because
+# The imports kept unused: routes binds certify_prime and cli binds
+# factor_integer only because
 # perfbench/test_bench.py::test_wrappers_reach_every_binding_and_are_restored
-# asserts the tracer's wrapper on routes.certify_prime.  Drop the entry with
-# the binding once that test checks descent.certify_prime (ROADMAP item 1).
-UNUSED_IMPORTS_KEPT = {"routes.py": {"certify_prime"}}
+# asserts the tracer's wrapper on routes.certify_prime and cli.factor_integer
+# (cli runs the direct engines through basefactor.ROUTE_TABLE).  Drop each
+# entry with its binding once that test checks descent.certify_prime and
+# basefactor.factor_integer (ROADMAP item 1).
+UNUSED_IMPORTS_KEPT = {"cli.py": {"factor_integer"}, "routes.py": {"certify_prime"}}
 
 
 def _modules():
@@ -212,8 +215,9 @@ def test_routes_ask_only_the_engines():
     engine, so ``routes`` imports no content split and no engine for
     primitive polynomials alone."""
     allowed = {
-        "basefactor": {"PrimeFactorization", "check_factorization_unique", "factor_bivariate",
-                       "factor_integer", "factor_poly_zx", "request_memo"},
+        "basefactor": {"PrimeFactorization", "ROUTE_TABLE", "check_factorization_unique",
+                       "direct_engine", "factor_bivariate", "factor_integer", "factor_poly_zx",
+                       "request_memo"},
         "rings": {"ZX", "ZXY", "Poly"},
     }
     extra = {
@@ -224,3 +228,27 @@ def test_routes_ask_only_the_engines():
         if alias.name not in allowed[node.module]
     }
     assert extra == set()
+
+
+def test_each_direct_engine_is_named_in_the_route_table_alone():
+    """``basefactor.ROUTE_TABLE`` is the one place that maps a ring to its
+    engine and routes: ``cli`` compares no ring with a base ring, the
+    former per-ring lookup ``_engine_for`` is gone, and ``_descend_checked``
+    is given no engine, since it reads its ring's from the table."""
+    modules = _modules()
+    rings = {"ZZ", "ZX", "ZXY"}
+    compared = [
+        f"line {node.lineno}"
+        for node in ast.walk(modules["cli.py"])
+        if isinstance(node, ast.Compare)
+        and any(isinstance(n, ast.Name) and n.id in rings for n in ast.walk(node))
+    ]
+    assert compared == []
+    assert not any("_engine_for" in _references(tree) | _module_level_definitions(tree) for tree in modules.values())
+    calls = [
+        node
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_descend_checked"
+    ]
+    assert calls and [(len(c.args), c.keywords) for c in calls] == [(2, [])] * len(calls)

@@ -49,6 +49,10 @@ def _recorded(argv: list) -> dict:
 @pytest.mark.parametrize("argv", [
     ["factor", "--route", "direct", "--", "X^4+1"],
     ["factor", "--route", "auto", "--", "6"],
+    ["factor", "--route", "laurent", "--", "6"],  # refused: the route table loads no route
+    ["factor", "--route", "laurent", "--", "X*Y+X"],
+    ["compare", "--", "6"],
+    ["compare", "--", "X*Y+X"],
 ])
 def test_non_descending_requests_load_no_descent_layer(argv):
     got = _cold(argv)
