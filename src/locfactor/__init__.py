@@ -13,11 +13,12 @@ The package is organized bottom-up:
                       S^-1 R they form (``LocalizationRing``), with
                       ``LT`` = Z[T,T^-1], Z[X] at the powers of X; the
                       transfer algorithms
-* ``descent``      -- primality certificates and the descent factorizer
-* ``routes``       -- Laurent / fraction-field / bivariate routes; the Laurent
-                      oracle, computed in Z[X], and one constant-primes oracle
-                      serving both Z[X] and Z[X][Y], realized by Gauss's
-                      lemma on R[Y]
+* ``descent``      -- the oracle contract, primality certificates and the
+                      descent factorizer, all engine-free
+* ``routes``       -- Laurent / fraction-field / bivariate routes; the
+                      base-engine oracle and its Laurent case, computed in
+                      Z[X], and one constant-primes oracle serving both Z[X]
+                      and Z[X][Y], realized by Gauss's lemma on R[Y]
 * ``expr``         -- expression parsing and rendering
 * ``selftest``     -- seeded randomized property suites
 * ``cli``          -- the ``locfactor`` command
@@ -41,7 +42,6 @@ _EXPORTS = {
         "kronecker_factor",
     ),
     "descent": (
-        "BaseEngineOracle",
         "DescentResult",
         "LocalizationOracle",
         "PrimalityCertificate",
@@ -80,6 +80,7 @@ _EXPORTS = {
     ),
     "rings": ("ZX", "ZXY", "ZZ", "Poly", "Ring"),
     "routes": (
+        "BaseEngineOracle",
         "compare_routes",
         "factor_iterated",
         "factor_laurent",

@@ -45,6 +45,8 @@ from .rings import (
     poly_gcd_z,
     poly_primitive,
     zx_exact_div_coeffs,
+    zx_mul_acc,
+    zx_trim,
     zxy_primitive,
     zxy_x_degree,
 )
@@ -253,31 +255,12 @@ _BERLEKAMP_PRIMES = 5
 _FEW_MODULAR_FACTORS = 12
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _reduce(a: list[int], m: int) -> list[int]:
-    return _trim([c % m for c in a])
-
-
-def _mul_acc(acc: list[int], a: list[int], b: list[int]) -> list[int]:
-    """acc + a*b, unreduced, accumulated in place in acc."""
-    if a and b:
-        need = len(a) + len(b) - 1
-        if len(acc) < need:
-            acc.extend([0] * (need - len(acc)))
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    acc[j] += x * y
-    return acc
+    return zx_trim([c % m for c in a])
 
 
 def _mul_mod(a: list[int], b: list[int], m: int) -> list[int]:
-    return _reduce(_mul_acc([], a, b), m)
+    return _reduce(zx_mul_acc([], a, b), m)
 
 
 def _divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
@@ -292,7 +275,7 @@ def _divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[i
             q[k] = t
             for i, c in enumerate(low, k):
                 rem[i] -= t * c
-    return _trim(q), _reduce(rem[:db], m)
+    return zx_trim(q), _reduce(rem[:db], m)
 
 
 def _monic_mod(a: list[int], m: int) -> list[int]:
@@ -328,8 +311,8 @@ def _gf_bezout(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
         q, r = _divmod_monic(r0, r1, p)
         inv = pow(r[-1], -1, p)
         neg_q = [-c for c in q]
-        s = _reduce([c * inv for c in _mul_acc(list(s0), neg_q, s1)], p)  # (s0 - q*s1) / lc(r)
-        t = _reduce([c * inv for c in _mul_acc(list(t0), neg_q, t1)], p)
+        s = _reduce([c * inv for c in zx_mul_acc(list(s0), neg_q, s1)], p)  # (s0 - q*s1) / lc(r)
+        t = _reduce([c * inv for c in zx_mul_acc(list(t0), neg_q, t1)], p)
         r0, s0, t0, r1, s1, t1 = r1, s1, t1, _monic_mod(r, p), s, t
     return s1, t1
 
@@ -342,7 +325,7 @@ def _eval_mod(f: list[int], x: int, m: int) -> int:
 
 
 def _derivative_mod(f: list[int], m: int) -> list[int]:
-    return _trim([i * c % m for i, c in enumerate(f)][1:])
+    return zx_trim([i * c % m for i, c in enumerate(f)][1:])
 
 
 def _gf_roots(f: list[int], p: int) -> list[int]:
@@ -418,7 +401,7 @@ def _berlekamp_basis(f: list[int], p: int) -> list[list[int]]:
         v[free] = 1
         for r, col in enumerate(pivots):
             v[col] = -mat[r][free] % p
-        basis.append(_trim(v))
+        basis.append(zx_trim(v))
     return basis
 
 
@@ -456,15 +439,15 @@ def _hensel_step(m, f, g, h, s, t, last):
     are returned as they were.  Products accumulate unreduced and each output
     is reduced once."""
     mm = m * m
-    e = _reduce(_mul_acc(list(f), [-c for c in g], h), mm)  # f - g*h
-    q, r = _divmod_monic(_mul_acc([], s, e), h, mm)
-    g = _reduce(_mul_acc(_mul_acc(list(g), t, e), q, g), mm)  # g + t*e + q*g
-    h = _reduce(_mul_acc(list(h), [1], r), mm)  # h + r
+    e = _reduce(zx_mul_acc(list(f), [-c for c in g], h), mm)  # f - g*h
+    q, r = _divmod_monic(zx_mul_acc([], s, e), h, mm)
+    g = _reduce(zx_mul_acc(zx_mul_acc(list(g), t, e), q, g), mm)  # g + t*e + q*g
+    h = _reduce(zx_mul_acc(list(h), [1], r), mm)  # h + r
     if not last:
-        b = _reduce(_mul_acc(_mul_acc([-1], s, g), t, h), mm)  # s*g + t*h - 1
-        c, d = _divmod_monic(_mul_acc([], s, b), h, mm)
-        s = _reduce(_mul_acc(list(s), [-1], d), mm)  # s - d
-        t = _reduce(_mul_acc(_mul_acc(list(t), [-x for x in t], b), [-x for x in c], g), mm)  # t - t*b - c*g
+        b = _reduce(zx_mul_acc(zx_mul_acc([-1], s, g), t, h), mm)  # s*g + t*h - 1
+        c, d = _divmod_monic(zx_mul_acc([], s, b), h, mm)
+        s = _reduce(zx_mul_acc(list(s), [-1], d), mm)  # s - d
+        t = _reduce(zx_mul_acc(zx_mul_acc(list(t), [-x for x in t], b), [-x for x in c], g), mm)  # t - t*b - c*g
     return g, h, s, t
 
 
@@ -687,7 +670,9 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
 @contextmanager
 def request_memo():
     """Share the answers of ``kronecker_factor``, ``factor_poly_zx`` and
-    ``factor_bivariate`` for the duration of one request.
+    ``factor_bivariate`` for the duration of one request.  Each engine runs
+    through ``_memoized``, which refuses zero and stores only an answer that
+    multiplies back to its input.
 
     Opens a fresh memo, or joins the one already open.  The scope that opened
     the memo discards it on exit, also when the request raises.
@@ -729,28 +714,29 @@ def kronecker_factor(p: Poly) -> PrimeFactorization:
     ``selftest.kronecker_reference``, the independent engine it is checked
     against.  Inside ``request_memo`` each distinct input is factored once.
     """
-    return _memoized("kronecker_factor", _kronecker_factor_uncached, p)
+    return _memoized("kronecker_factor", ZX, _kronecker_factor_uncached, p)
 
 
-def _memoized(engine: str, compute: Callable, p: Poly) -> PrimeFactorization:
-    """``compute(p)``, shared through the open request memo under (engine, p).
-
-    Only answers that return are kept, and every engine checks its answer's
-    reconstruction before returning it.
-    """
+def _memoized(engine: str, ring: Ring, compute: Callable, p: Poly) -> PrimeFactorization:
+    """The polynomial engine named ``engine``: zero is refused, and the
+    answer ``compute(p)`` must multiply back to p in ``ring``.  Inside
+    ``request_memo`` it is shared under (engine, p); an answer that raises
+    or fails the check is never stored."""
+    if ring.is_zero(p):
+        raise MathDomainError("cannot factor zero")
     memo = _REQUEST_MEMO.get()
-    if memo is None:
-        return compute(p)
     key = (engine, p)
-    pf = memo.get(key)
+    pf = None if memo is None else memo.get(key)
     if pf is None:
-        pf = memo[key] = compute(p)
+        pf = compute(p)
+        if pf.value(ring) != p:
+            raise OracleViolationError(f"{engine} reconstruction failed")
+        if memo is not None:
+            memo[key] = pf
     return pf
 
 
 def _kronecker_factor_uncached(p: Poly) -> PrimeFactorization:
-    if not p.coeffs:
-        raise MathDomainError("cannot factor zero")
     if poly_content(p) != 1:
         raise MathDomainError("kronecker_factor requires a primitive polynomial")
     if len(p.coeffs) - 1 > KRONECKER_DEGREE_CAP:
@@ -763,10 +749,7 @@ def _kronecker_factor_uncached(p: Poly) -> PrimeFactorization:
         )
     unit, work = ZX.canonical_associate(p)
     out = [] if len(work.coeffs) == 1 else _zassenhaus(list(work.coeffs))
-    pf = PrimeFactorization.of(ZX, unit, [Poly(q) for q in out])
-    if pf.value(ZX) != p:
-        raise OracleViolationError("kronecker reconstruction failed")
-    return pf
+    return PrimeFactorization.of(ZX, unit, [Poly(q) for q in out])
 
 
 # ---------------------------------------------------------------------------
@@ -776,21 +759,16 @@ def factor_poly_zx(p: Poly) -> PrimeFactorization:
     """Factor over Z[X]: integer primes of the content as constant factors,
     ``kronecker_factor`` irreducibles for the primitive part.  Inside
     ``request_memo`` each distinct input is factored once."""
-    return _memoized("factor_poly_zx", _factor_poly_zx_uncached, p)
+    return _memoized("factor_poly_zx", ZX, _factor_poly_zx_uncached, p)
 
 
 def _factor_poly_zx_uncached(p: Poly) -> PrimeFactorization:
-    if not p.coeffs:
-        raise MathDomainError("cannot factor zero")
     c, prim = poly_primitive(p)
     kf = kronecker_factor(prim)  # first: its caps refuse before rho runs on c
     cf = factor_integer(c)
     factors = [ZX.constant(q) for q in cf.factors] + list(kf.factors)
     unit = ZX.mul(ZX.constant(cf.unit), kf.unit)
-    pf = PrimeFactorization.of(ZX, unit, factors)
-    if pf.value(ZX) != p:
-        raise OracleViolationError("factor_poly_zx reconstruction failed")
-    return pf
+    return PrimeFactorization.of(ZX, unit, factors)
 
 
 def substitution_chunk(deg_x: int) -> int:
@@ -829,12 +807,10 @@ def factor_bivariate(f: Poly) -> PrimeFactorization:
     unpack to the cofactor, as ``_split_by_subsets`` needs.  Inside
     ``request_memo`` each distinct input is factored once.
     """
-    return _memoized("factor_bivariate", _factor_bivariate_uncached, f)
+    return _memoized("factor_bivariate", ZXY, _factor_bivariate_uncached, f)
 
 
 def _factor_bivariate_uncached(f: Poly) -> PrimeFactorization:
-    if ZXY.is_zero(f):
-        raise MathDomainError("cannot factor zero")
     deg_y = len(f.coeffs) - 1
     deg_x = zxy_x_degree(f)
     if deg_y > BIVARIATE_DEGREE_CAP or deg_x > BIVARIATE_DEGREE_CAP:
@@ -876,10 +852,7 @@ def _factor_bivariate_uncached(f: Poly) -> PrimeFactorization:
     cf = factor_poly_zx(cont)  # after the image: its caps refuse before rho runs on the content
     unit = ZXY.mul(ZXY.constant(cf.unit), unit)
     factors += [ZXY.constant(q) for q in cf.factors]
-    pf = PrimeFactorization.of(ZXY, unit, factors)
-    if pf.value(ZXY) != f:
-        raise OracleViolationError("factor_bivariate reconstruction failed")
-    return pf
+    return PrimeFactorization.of(ZXY, unit, factors)
 
 
 # ---------------------------------------------------------------------------

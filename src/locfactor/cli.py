@@ -30,15 +30,10 @@ JSON_SCHEMA_VERSION = "1"
 
 # The descent layer (routes, descent, localization) is imported by the first
 # request that descends, so direct requests, integer input and parse and
-# usage errors never load it.  These names of it stay readable as attributes
-# of this module; calls go through ``routes.<name>`` at call time.
-_ROUTES_NAMES = frozenset({
-    "compare_routes",
-    "factor_iterated",
-    "factor_laurent",
-    "factor_zx_via_fraction_field",
-    "factor_zx_via_laurent",
-})
+# usage errors never load it; calls go through ``routes.<name>``.  Only
+# ``compare_routes`` stays readable here, because a benchmark test wraps
+# ``cli.compare_routes`` (ROADMAP item 1).
+_ROUTES_NAMES = frozenset({"compare_routes"})
 
 
 def __getattr__(name):

@@ -18,6 +18,10 @@ Both work for a submonoid with any number of prime generators.  As in the
 paper, this prime-generated hypothesis is the only one: a single-generator
 submonoid such as the powers of X takes the same descent, not a restricted
 variant of it.
+
+This layer holds only the oracle contract ``LocalizationOracle``, the
+decision, its certificate and the descent, and takes no engine: the oracles
+that ask an engine are defined in ``routes``.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .errors import (
 )
 from .localization import (
     Fraction,
-    GeneratedSubmonoid,
     LocalizationRing,
     SMember,
     embed,
@@ -198,33 +201,3 @@ def descend_factor(a: Element, oracle: LocalizationOracle) -> DescentResult:
     if not ring.eq(factorization.value(ring), a):
         raise DescentInconsistencyError("descent inconsistency")
     return DescentResult(factorization, tuple(c for _, c in pairs))
-
-
-class BaseEngineOracle(LocalizationOracle):
-    """Localization oracle backed by a base-ring factorization engine.
-
-    Factors the numerator in the base ring and reinterprets generator
-    associates as localization units.  Useful as the trivially-correct oracle
-    for integer submonoids and in cross-checking tests.
-    """
-
-    def __init__(self, S: GeneratedSubmonoid, engine):
-        self.S = S
-        self.engine = engine
-
-    @property
-    def name(self) -> str:
-        """Rendered when read, so that building an oracle renders nothing."""
-        return f"{self.S.ring.name} localized at {self.S.describe()}"
-
-    def factor_fraction(self, x: Fraction) -> tuple[Fraction, tuple]:
-        S = self.S
-        pf = self.engine(x.num)
-        unit_num = pf.unit
-        primes = []
-        for q in pf.factors:
-            if find_associate_generator(S, q) is None:
-                primes.append(embed(q, S))
-            else:  # an associate of a generator is a unit of S^-1 R
-                unit_num = S.ring.mul(unit_num, q)
-        return (Fraction(unit_num, x.den), tuple(primes))

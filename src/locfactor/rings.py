@@ -294,10 +294,7 @@ class IntegerPolynomialRing(PolynomialRing):
         super().__init__(ZZ, var)
 
     def make(self, coeffs) -> Poly:
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        return Poly(cs)
+        return Poly(zx_trim(list(coeffs)))
 
     def is_zero(self, a):
         return not a.coeffs
@@ -315,15 +312,7 @@ class IntegerPolynomialRing(PolynomialRing):
         return Poly([-c for c in a.coeffs])
 
     def mul(self, a, b):
-        x, y = a.coeffs, b.coeffs
-        if not x or not y:
-            return self.zero
-        out = [0] * (len(x) + len(y) - 1)
-        for i, c in enumerate(x):
-            if c:
-                for j, d in enumerate(y, i):
-                    out[j] += c * d
-        return Poly(out)
+        return Poly(zx_mul_acc([], a.coeffs, b.coeffs))
 
     def exact_div(self, a, b):
         if not b.coeffs:
@@ -332,6 +321,29 @@ class IntegerPolynomialRing(PolynomialRing):
             return self.zero
         q = zx_exact_div_coeffs(a.coeffs, b.coeffs)
         return None if q is None else Poly(q)
+
+
+# Integer coefficient lists, lowest degree first: the kernels under ``ZX``,
+# ``poly_gcd_z`` and the Zassenhaus engine in ``basefactor``.
+
+def zx_trim(a: list[int]) -> list[int]:
+    """a without its trailing zeros, trimmed in place."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def zx_mul_acc(acc: list[int], a, b) -> list[int]:
+    """acc + a*b, unreduced, accumulated in place in acc."""
+    if a and b:
+        need = len(a) + len(b) - 1
+        if len(acc) < need:
+            acc.extend([0] * (need - len(acc)))
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    acc[j] += x * y
+    return acc
 
 
 def zx_exact_div_coeffs(a, b) -> Optional[list[int]]:
@@ -415,8 +427,7 @@ def poly_gcd_z(a: Poly, b: Poly) -> Poly:
             r = [x * lead for x in r]
             for i, c in enumerate(b):
                 r[shift + i] -= t * c
-            while r and r[-1] == 0:
-                r.pop()
+            zx_trim(r)
         if r:
             c = math.gcd(*r) if r[-1] > 0 else -math.gcd(*r)
             r = [x // c for x in r]

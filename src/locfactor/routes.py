@@ -30,7 +30,10 @@ the leading coefficient of the primitive part.
 
 Every oracle here implements ``factor_fraction`` alone; primality and
 divisibility in the localization are derived from it by
-``LocalizationOracle``, the same for every route.
+``LocalizationOracle``, the same for every route.  The oracles are defined
+here, above the engine-free descent layer: ``BaseEngineOracle`` counts its
+engine's associates of generators into the unit, ``LaurentOracle`` is that
+oracle at the powers of X, and ``ConstantPrimesOracle`` is described above.
 """
 
 from __future__ import annotations
@@ -51,15 +54,45 @@ from .basefactor import (
     factor_poly_zx,
     request_memo,
 )
-from .descent import BaseEngineOracle, DescentResult, LocalizationOracle, descend_factor
+from .descent import DescentResult, LocalizationOracle, descend_factor
 from .descent import certify_prime  # unused; a benchmark test reads it (ROADMAP item 1)
 from .errors import OracleViolationError
-from .localization import LT, Fraction, GeneratedSubmonoid, embed
+from .localization import LT, Fraction, GeneratedSubmonoid, embed, find_associate_generator
 from .rings import ZX, ZXY, Poly
 
 
 # ---------------------------------------------------------------------------
-# Laurent ring
+# base-engine oracles: the Laurent ring
+
+class BaseEngineOracle(LocalizationOracle):
+    """Localization oracle backed by a base-ring factorization engine.
+
+    Factors the numerator in the base ring and reinterprets generator
+    associates as localization units.  Useful as the trivially-correct oracle
+    for integer submonoids and in cross-checking tests.
+    """
+
+    def __init__(self, S: GeneratedSubmonoid, engine):
+        self.S = S
+        self.engine = engine
+
+    @property
+    def name(self) -> str:
+        """Rendered when read, so that building an oracle renders nothing."""
+        return f"{self.S.ring.name} localized at {self.S.describe()}"
+
+    def factor_fraction(self, x: Fraction) -> tuple[Fraction, tuple]:
+        S = self.S
+        pf = self.engine(x.num)
+        unit_num = pf.unit
+        primes = []
+        for q in pf.factors:
+            if find_associate_generator(S, q) is None:
+                primes.append(embed(q, S))
+            else:  # an associate of a generator is a unit of S^-1 R
+                unit_num = S.ring.mul(unit_num, q)
+        return (Fraction(unit_num, x.den), tuple(primes))
+
 
 class LaurentOracle(BaseEngineOracle):
     """Localization of Z[X] at the powers of X, the Laurent ring, computed in
@@ -68,9 +101,6 @@ class LaurentOracle(BaseEngineOracle):
     factorizer, passed in as for ``ConstantPrimesOracle``."""
 
     name = "Z[T,T^-1] factorization"
-
-    # bound here too, so that per-class method tracing sees the Laurent calls
-    factor_fraction = BaseEngineOracle.factor_fraction
 
 
 def _require_agreement(ring, a: PrimeFactorization, b: PrimeFactorization, what: str) -> None:

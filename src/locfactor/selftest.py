@@ -26,7 +26,7 @@ from .basefactor import (
     kronecker_factor,
     substitution_chunk,
 )
-from .descent import BaseEngineOracle, certify_prime, descend_factor
+from .descent import certify_prime, descend_factor
 from .errors import LocFactorError, PreconditionError
 from .localization import (
     LT,
@@ -46,6 +46,7 @@ from .localization import (
 )
 from .rings import ZX, ZXY, ZZ, Poly, poly_content, poly_primitive, zxy_x_degree
 from .routes import (
+    BaseEngineOracle,
     ConstantPrimesOracle,
     compare_routes,
     factor_laurent,

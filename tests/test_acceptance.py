@@ -20,7 +20,6 @@ from locfactor.basefactor import (
     factor_poly_zx,
     is_irreducible,
 )
-from locfactor.descent import BaseEngineOracle
 from locfactor.localization import (
     GeneratedSubmonoid,
     avoids,
@@ -32,6 +31,7 @@ from locfactor.localization import (
 )
 from locfactor.rings import ZX, ZXY, ZZ
 from locfactor.routes import (
+    BaseEngineOracle,
     compare_routes,
     factor_iterated,
     factor_zx_via_fraction_field,

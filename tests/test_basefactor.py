@@ -30,8 +30,9 @@ from locfactor.basefactor import (
     factor_poly_zx,
     is_irreducible,
     kronecker_factor,
+    request_memo,
 )
-from locfactor.errors import DeskScaleError, MathDomainError, PreconditionError
+from locfactor.errors import DeskScaleError, MathDomainError, OracleViolationError, PreconditionError
 from locfactor.expr import parse_in_ring
 from locfactor.localization import LT
 from locfactor.rings import ZX, ZXY, ZZ, PolynomialRing, poly_content, poly_primitive
@@ -278,6 +279,52 @@ class TestFactorBivariate:
         pf = factor_bivariate(f)
         assert expand(pf, ZXY) == f
         assert len(pf.factors) == 2
+
+
+# each polynomial engine: its ring, its uncached body and an input it factors
+POLY_ENGINES = [
+    ("kronecker_factor", ZX, "_kronecker_factor_uncached", ZX.make([2, 3, 1])),
+    ("factor_poly_zx", ZX, "_factor_poly_zx_uncached", ZX.make([4, 6, 2])),
+    ("factor_bivariate", ZXY, "_factor_bivariate_uncached", ZXY.make([ZX.gen, ZX.gen])),
+]
+
+
+@pytest.mark.parametrize("name, ring, body, f", POLY_ENGINES, ids=[e[0] for e in POLY_ENGINES])
+class TestEngineContract:
+    """What every polynomial engine gets from ``basefactor._memoized``: zero
+    is refused before the body runs, and an answer that does not multiply
+    back raises, names the engine and is never stored."""
+
+    def _patched(self, monkeypatch, body, answer):
+        runs = []
+        worker = getattr(basefactor, body)
+
+        def patched(p):
+            runs.append(p)
+            return answer(worker(p))
+
+        monkeypatch.setattr(basefactor, body, patched)
+        return runs
+
+    def test_zero_is_refused(self, monkeypatch, name, ring, body, f):
+        runs = self._patched(monkeypatch, body, lambda pf: pf)
+        engine = getattr(basefactor, name)
+        with pytest.raises(MathDomainError, match="^cannot factor zero$"):
+            engine(ring.zero)
+        with request_memo():
+            with pytest.raises(MathDomainError, match="^cannot factor zero$"):
+                engine(ring.zero)
+        assert runs == []
+
+    def test_answer_that_does_not_multiply_back_is_refused_every_time(self, monkeypatch, name, ring, body, f):
+        runs = self._patched(monkeypatch, body, lambda pf: PrimeFactorization(ring.neg(pf.unit), pf.factors))
+        engine = getattr(basefactor, name)
+        with request_memo():
+            for _ in range(2):
+                with pytest.raises(OracleViolationError, match=f"^{name} reconstruction failed$"):
+                    engine(f)
+            assert (name, f) not in basefactor._REQUEST_MEMO.get()
+        assert runs == [f, f]
 
 
 class TestUniqueness:

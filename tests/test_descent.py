@@ -12,7 +12,6 @@ from locfactor.basefactor import (
     factor_poly_zx,
 )
 from locfactor.descent import (
-    BaseEngineOracle,
     LocalizationOracle,
     certify_prime,
     descend_factor,
@@ -24,7 +23,7 @@ from locfactor.errors import (
 )
 from locfactor.localization import LT, Fraction, GeneratedSubmonoid, embed, transfer_prime_divides
 from locfactor.rings import ZX, ZXY, ZZ
-from locfactor.routes import ConstantPrimesOracle, LaurentOracle
+from locfactor.routes import BaseEngineOracle, ConstantPrimesOracle, LaurentOracle
 from locfactor.selftest import rand_bivariate, rand_zx
 
 

@@ -138,12 +138,34 @@ def test_each_method_is_used():
     assert unused == []
 
 
+def _params(node):
+    return {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+
+
 def test_descent_layer_is_engine_free():
     """The descent layer decides primality by Nagata's argument alone: it
     strips generators and asks its localization oracle, never a base-ring
-    irreducibility test."""
+    irreducibility test, and none of its classes or functions is given an
+    engine (the engine-backed oracles live in ``routes``).  Below it,
+    ``basefactor`` takes its int-list trim and multiply-accumulate from
+    ``rings`` rather than keeping copies."""
+    modules = _modules()
     source = (PACKAGE / "descent.py").read_text()
     assert [name for name in ("is_irreducible", "_require_irreducible") if name in source] == []
+    given_engine = [
+        node.name
+        for node in ast.walk(modules["descent.py"])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and "engine" in _params(node)
+    ]
+    assert given_engine == []
+    from_rings = {
+        alias.name
+        for node in modules["basefactor.py"].body
+        if isinstance(node, ast.ImportFrom) and node.module == "rings"
+        for alias in node.names
+    }
+    assert {"zx_trim", "zx_mul_acc"} <= from_rings
+    assert {"_trim", "_mul_acc"} & _module_level_definitions(modules["basefactor.py"]) == set()
 
 
 def test_no_function_takes_a_submonoid_beside_its_oracle():
@@ -154,7 +176,7 @@ def test_no_function_takes_a_submonoid_beside_its_oracle():
         for module, tree in _modules().items()
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for params in [{a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}]
+        for params in [_params(node)]
         if "oracle" in params and params & {"S", "submonoid"}
     ]
     assert both == []
@@ -184,6 +206,22 @@ def test_cli_serves_only_names_that_routes_defines():
         node.name for node in modules["routes.py"].body if isinstance(node, ast.ClassDef)
     }
     assert served and sorted(served - defined) == []
+
+
+def test_bindings_a_benchmark_test_wraps_still_exist():
+    """perfbench/test_bench.py::test_wrappers_reach_every_binding_and_are_restored
+    asserts the tracer's wrapper on these four bindings, which exist for that
+    test alone, so a change that drops one fails here too.  This test goes
+    with them when ROADMAP item 1 or 9 points that test at the defining
+    modules."""
+    from locfactor import basefactor, cli, descent, routes
+
+    assert cli.factor_integer is basefactor.factor_integer
+    assert cli.compare_routes is routes.compare_routes
+    assert routes.certify_prime is descent.certify_prime
+    # the tracer wraps the methods of the oracle classes that routes defines
+    owner = next(c for c in routes.LaurentOracle.__mro__ if "factor_fraction" in vars(c))
+    assert owner.__module__ == routes.__name__ and vars(routes)[owner.__name__] is owner
 
 
 def test_each_record_field_is_read():

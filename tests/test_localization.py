@@ -4,7 +4,6 @@ algorithms, including the documented error taxonomy."""
 import pytest
 
 from locfactor.basefactor import factor_bivariate, factor_integer, factor_poly_zx
-from locfactor.descent import BaseEngineOracle
 from locfactor.errors import MathDomainError, OracleViolationError, PreconditionError
 from locfactor.localization import (
     Fraction,
@@ -25,7 +24,7 @@ from locfactor.localization import (
     witness_multiset,
 )
 from locfactor.rings import ZX, ZXY, ZZ
-from locfactor.routes import ConstantPrimesOracle, LaurentOracle
+from locfactor.routes import BaseEngineOracle, ConstantPrimesOracle, LaurentOracle
 from locfactor.selftest import brute_force_avoids
 
 
