@@ -15,8 +15,8 @@ These are the base oracles everything else is cross-checked against:
 * ``factor_bivariate``   -- Z[X][Y] by packing Y -> X^D and regrouping the
                             univariate factors
 
-Inside ``request_memo`` each of the three polynomial engines factors each
-distinct input once, and ``is_irreducible`` answers from the same memo.
+Inside ``request_memo`` each engine factors each input once up to units
+(``_memoized``), and ``is_irreducible`` answers from the same memo.
 ``ROUTE_TABLE`` names each ring's direct engine and descent routes, for
 ``cli``, ``routes`` and ``is_irreducible``, without loading any of them.
 
@@ -75,8 +75,8 @@ POLLARD_RHO_BUDGET = 1_000_000
 # ~10^13 each, and one last prime below the Miller-Rabin bound (82 bits).
 INTEGER_BITS_CAP = 192
 
-# engine answers of the open request, keyed on (engine name, input Poly);
-# None when no request is open
+# engine answers of the open request, keyed on (engine name, canonical
+# associate of the input); None when no request is open
 _REQUEST_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
     "locfactor_request_memo", default=None
 )
@@ -108,11 +108,13 @@ def factor_integer(n: int) -> PrimeFactorization:
     A probable prime at or above ``MILLER_RABIN_EXACT_BOUND`` cannot be proven
     prime here and raises ``DeskScaleError``, as do a sieved cofactor of more
     than ``INTEGER_BITS_CAP`` bits and a number whose splits take Pollard rho
-    more than ``POLLARD_RHO_BUDGET`` iterations in all.
+    more than ``POLLARD_RHO_BUDGET`` iterations in all.  Inside
+    ``request_memo`` n and -n are factored once.
     """
-    if n == 0:
-        raise MathDomainError("cannot factor zero")
-    m = abs(n)
+    return _memoized("factor_integer", ZZ, _factor_integer_uncached, n)
+
+
+def _factor_integer_uncached(m: int) -> list:
     out: list[int] = []
     for p in _small_primes():
         if p * p > m:
@@ -140,8 +142,7 @@ def factor_integer(n: int) -> PrimeFactorization:
         d, left = _pollard_rho(m, left)
         stack.append(d)
         stack.append(m // d)
-    out.sort()
-    return PrimeFactorization(1 if n > 0 else -1, tuple(out))
+    return out
 
 
 _SMALL_PRIMES: list[int] = []
@@ -669,10 +670,11 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
 
 @contextmanager
 def request_memo():
-    """Share the answers of ``kronecker_factor``, ``factor_poly_zx`` and
-    ``factor_bivariate`` for the duration of one request.  Each engine runs
-    through ``_memoized``, which refuses zero and stores only an answer that
-    multiplies back to its input.
+    """Share the answers of the four direct engines ``factor_integer``,
+    ``kronecker_factor``, ``factor_poly_zx`` and ``factor_bivariate`` for the
+    duration of one request.  Each runs through ``_memoized``, which keys an
+    answer on the canonical associate of its input, so associates share it,
+    and stores only an answer that passes its checks.
 
     Opens a fresh memo, or joins the one already open.  The scope that opened
     the memo discards it on exit, also when the request raises.
@@ -712,31 +714,35 @@ def kronecker_factor(p: Poly) -> PrimeFactorization:
     single modular factor; if the round is undecided, from p to the bound of
     degree n - 1.  The divisor search this entry point is named after is
     ``selftest.kronecker_reference``, the independent engine it is checked
-    against.  Inside ``request_memo`` each distinct input is factored once.
+    against.  Inside ``request_memo`` each input is factored once up to sign.
     """
     return _memoized("kronecker_factor", ZX, _kronecker_factor_uncached, p)
 
 
-def _memoized(engine: str, ring: Ring, compute: Callable, p: Poly) -> PrimeFactorization:
-    """The polynomial engine named ``engine``: zero is refused, and the
-    answer ``compute(p)`` must multiply back to p in ``ring``.  Inside
-    ``request_memo`` it is shared under (engine, p); an answer that raises
-    or fails the check is never stored."""
+def _memoized(engine: str, ring: Ring, compute: Callable, p: Element) -> PrimeFactorization:
+    """The direct engine named ``engine``: zero is refused, p = unit * normal
+    by ``ring.canonical_associate``, and the body ``compute(normal)`` returns
+    normal's factors, none a unit, whose product must be normal.  Inside
+    ``request_memo`` the answer is shared under (engine, normal), so
+    associates share one run; one that raises or fails a check is not kept."""
     if ring.is_zero(p):
         raise MathDomainError("cannot factor zero")
+    unit, normal = ring.canonical_associate(p)
     memo = _REQUEST_MEMO.get()
-    key = (engine, p)
+    key = (engine, normal)
     pf = None if memo is None else memo.get(key)
     if pf is None:
-        pf = compute(p)
-        if pf.value(ring) != p:
+        pf = PrimeFactorization.of(ring, ring.one, compute(normal))
+        if any(ring.is_unit(q) for q in pf.factors):
+            raise OracleViolationError(f"{engine} returned a unit factor")
+        if pf.value(ring) != normal:
             raise OracleViolationError(f"{engine} reconstruction failed")
         if memo is not None:
             memo[key] = pf
-    return pf
+    return PrimeFactorization(unit, pf.factors)
 
 
-def _kronecker_factor_uncached(p: Poly) -> PrimeFactorization:
+def _kronecker_factor_uncached(p: Poly) -> list:
     if poly_content(p) != 1:
         raise MathDomainError("kronecker_factor requires a primitive polynomial")
     if len(p.coeffs) - 1 > KRONECKER_DEGREE_CAP:
@@ -747,9 +753,7 @@ def _kronecker_factor_uncached(p: Poly) -> PrimeFactorization:
         raise DeskScaleError(
             f"coefficient magnitude exceeds the desk-scale cap {KRONECKER_COEFF_CAP}"
         )
-    unit, work = ZX.canonical_associate(p)
-    out = [] if len(work.coeffs) == 1 else _zassenhaus(list(work.coeffs))
-    return PrimeFactorization.of(ZX, unit, [Poly(q) for q in out])
+    return [] if len(p.coeffs) == 1 else [Poly(q) for q in _zassenhaus(list(p.coeffs))]
 
 
 # ---------------------------------------------------------------------------
@@ -758,17 +762,14 @@ def _kronecker_factor_uncached(p: Poly) -> PrimeFactorization:
 def factor_poly_zx(p: Poly) -> PrimeFactorization:
     """Factor over Z[X]: integer primes of the content as constant factors,
     ``kronecker_factor`` irreducibles for the primitive part.  Inside
-    ``request_memo`` each distinct input is factored once."""
+    ``request_memo`` each input is factored once up to sign."""
     return _memoized("factor_poly_zx", ZX, _factor_poly_zx_uncached, p)
 
 
-def _factor_poly_zx_uncached(p: Poly) -> PrimeFactorization:
+def _factor_poly_zx_uncached(p: Poly) -> list:
     c, prim = poly_primitive(p)
     kf = kronecker_factor(prim)  # first: its caps refuse before rho runs on c
-    cf = factor_integer(c)
-    factors = [ZX.constant(q) for q in cf.factors] + list(kf.factors)
-    unit = ZX.mul(ZX.constant(cf.unit), kf.unit)
-    return PrimeFactorization.of(ZX, unit, factors)
+    return [ZX.constant(q) for q in factor_integer(c).factors] + list(kf.factors)
 
 
 def substitution_chunk(deg_x: int) -> int:
@@ -805,12 +806,12 @@ def factor_bivariate(f: Poly) -> PrimeFactorization:
     unpacked product divides exactly.  Y -> X^D is a ring homomorphism that
     unpacking inverts on divisors of the input, so the image factors left over
     unpack to the cofactor, as ``_split_by_subsets`` needs.  Inside
-    ``request_memo`` each distinct input is factored once.
+    ``request_memo`` each input is factored once up to sign.
     """
     return _memoized("factor_bivariate", ZXY, _factor_bivariate_uncached, f)
 
 
-def _factor_bivariate_uncached(f: Poly) -> PrimeFactorization:
+def _factor_bivariate_uncached(f: Poly) -> list:
     deg_y = len(f.coeffs) - 1
     deg_x = zxy_x_degree(f)
     if deg_y > BIVARIATE_DEGREE_CAP or deg_x > BIVARIATE_DEGREE_CAP:
@@ -818,28 +819,26 @@ def _factor_bivariate_uncached(f: Poly) -> PrimeFactorization:
             f"desk-scale limit: degrees ({deg_x}, {deg_y}) exceed cap {BIVARIATE_DEGREE_CAP}"
         )
     cont, pp = zxy_primitive(f)
-    unit, ppc = ZXY.canonical_associate(pp)
     factors = []
-    if len(ppc.coeffs) == 1:
-        if ppc != ZXY.one:
+    if len(pp.coeffs) == 1:
+        if pp != ZXY.one:
             raise OracleViolationError("primitive constant part is not one")
     else:
-        chunk = substitution_chunk(zxy_x_degree(ppc))
-        image = _pack(ppc, chunk)
+        chunk = substitution_chunk(zxy_x_degree(pp))
+        image = _pack(pp, chunk)
         if len(image.coeffs) - 1 > KRONECKER_DEGREE_CAP:
             raise DeskScaleError(
                 "desk-scale limit: substitution image degree "
                 f"{len(image.coeffs) - 1} exceeds the univariate cap {KRONECKER_DEGREE_CAP}"
             )
-        base = factor_poly_zx(image)
-        if base.unit != ZX.one:
-            raise OracleViolationError("primitive image has a nontrivial unit")
-        target = ppc
+        # pp is canonical, as f is and the content's leading coefficient is
+        # positive; so is every image factor, and so every candidate below
+        base = factor_poly_zx(image).factors
+        target = pp
 
         def split(subset: tuple) -> bool:
             nonlocal target
-            prodp = ZX.prod(base.factors[i] for i in subset)
-            _, cand = ZXY.canonical_associate(_unpack(prodp, chunk))
+            cand = _unpack(ZX.prod(base[i] for i in subset), chunk)
             q = ZXY.exact_div(target, cand)
             if q is None:
                 return False
@@ -847,12 +846,10 @@ def _factor_bivariate_uncached(f: Poly) -> PrimeFactorization:
             target = q
             return True
 
-        _split_by_subsets(len(base.factors), split)
+        _split_by_subsets(len(base), split)
         factors.append(target)
-    cf = factor_poly_zx(cont)  # after the image: its caps refuse before rho runs on the content
-    unit = ZXY.mul(ZXY.constant(cf.unit), unit)
-    factors += [ZXY.constant(q) for q in cf.factors]
-    return PrimeFactorization.of(ZXY, unit, factors)
+    # after the image: its caps refuse before rho runs on the content
+    return factors + [ZXY.constant(q) for q in factor_poly_zx(cont).factors]
 
 
 # ---------------------------------------------------------------------------

@@ -183,8 +183,6 @@ def descend_factor(a: Element, oracle: LocalizationOracle) -> DescentResult:
             )
         residuals = []
         for f in prime_fracs:
-            if ring.is_zero(f.num):
-                raise OracleViolationError("oracle returned a zero factor")
             _, r = S.strip(f.num)
             _, rc = ring.canonical_associate(r)
             if ring.is_unit(rc):

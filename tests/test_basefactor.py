@@ -281,19 +281,23 @@ class TestFactorBivariate:
         assert len(pf.factors) == 2
 
 
-# each polynomial engine: its ring, its uncached body and an input it factors
-POLY_ENGINES = [
+# each direct engine: its ring, its uncached body and a canonical input it
+# factors into more than one factor
+ENGINES = [
+    ("factor_integer", ZZ, "_factor_integer_uncached", 12),
     ("kronecker_factor", ZX, "_kronecker_factor_uncached", ZX.make([2, 3, 1])),
     ("factor_poly_zx", ZX, "_factor_poly_zx_uncached", ZX.make([4, 6, 2])),
     ("factor_bivariate", ZXY, "_factor_bivariate_uncached", ZXY.make([ZX.gen, ZX.gen])),
 ]
 
 
-@pytest.mark.parametrize("name, ring, body, f", POLY_ENGINES, ids=[e[0] for e in POLY_ENGINES])
+@pytest.mark.parametrize("name, ring, body, f", ENGINES, ids=[e[0] for e in ENGINES])
 class TestEngineContract:
-    """What every polynomial engine gets from ``basefactor._memoized``: zero
-    is refused before the body runs, and an answer that does not multiply
-    back raises, names the engine and is never stored."""
+    """What every direct engine gets from ``basefactor._memoized``: its body
+    returns only the factors of a canonical input; zero is refused before
+    the body runs; an answer with a unit factor, or one that does not
+    multiply back, raises, names the engine and is never stored; and
+    associates share one run, each answer keeping its own unit."""
 
     def _patched(self, monkeypatch, body, answer):
         runs = []
@@ -307,7 +311,7 @@ class TestEngineContract:
         return runs
 
     def test_zero_is_refused(self, monkeypatch, name, ring, body, f):
-        runs = self._patched(monkeypatch, body, lambda pf: pf)
+        runs = self._patched(monkeypatch, body, lambda factors: factors)
         engine = getattr(basefactor, name)
         with pytest.raises(MathDomainError, match="^cannot factor zero$"):
             engine(ring.zero)
@@ -316,15 +320,32 @@ class TestEngineContract:
                 engine(ring.zero)
         assert runs == []
 
-    def test_answer_that_does_not_multiply_back_is_refused_every_time(self, monkeypatch, name, ring, body, f):
-        runs = self._patched(monkeypatch, body, lambda pf: PrimeFactorization(ring.neg(pf.unit), pf.factors))
+    def _refused_every_time(self, name, f, runs, message):
         engine = getattr(basefactor, name)
         with request_memo():
             for _ in range(2):
-                with pytest.raises(OracleViolationError, match=f"^{name} reconstruction failed$"):
+                with pytest.raises(OracleViolationError, match=f"^{name} {message}$"):
                     engine(f)
             assert (name, f) not in basefactor._REQUEST_MEMO.get()
         assert runs == [f, f]
+
+    def test_unit_factor_is_refused_every_time(self, monkeypatch, name, ring, body, f):
+        runs = self._patched(monkeypatch, body, lambda factors: factors + [ring.one])
+        self._refused_every_time(name, f, runs, "returned a unit factor")
+
+    def test_answer_that_does_not_multiply_back_is_refused_every_time(self, monkeypatch, name, ring, body, f):
+        runs = self._patched(monkeypatch, body, lambda factors: [ring.neg(factors[0])] + factors[1:])
+        self._refused_every_time(name, f, runs, "reconstruction failed")
+
+    def test_associates_share_one_run(self, monkeypatch, name, ring, body, f):
+        runs = self._patched(monkeypatch, body, lambda factors: factors)
+        engine = getattr(basefactor, name)
+        with request_memo():
+            plus, minus = engine(f), engine(ring.neg(f))
+        assert runs == [f]
+        assert plus == PrimeFactorization(ring.one, plus.factors) and len(plus.factors) > 1
+        assert minus == PrimeFactorization(ring.neg(ring.one), plus.factors)
+        assert minus.value(ring) == ring.neg(f)
 
 
 class TestUniqueness:

@@ -336,6 +336,16 @@ class TestExitCodes:
                 "unit 1; factors [X^2 + 1, X^2 + 2] vs unit 1; factors [X^4 + 3*X^2 + 2]\n"
             )
 
+    def test_engine_that_drops_the_content_primes(self, capsys, monkeypatch):
+        """An engine body returns factors alone, with no unit slot to hide a
+        content prime in: a body that drops them no longer multiplies back,
+        and the direct route exits 3 naming the engine."""
+        body = basefactor._factor_poly_zx_uncached
+        monkeypatch.setattr(basefactor, "_factor_poly_zx_uncached",
+                            lambda p: [q for q in body(p) if len(q.coeffs) > 1])
+        assert main(["factor", "--route", "direct", "--", "2*X+2"]) == 3
+        assert capsys.readouterr() == ("", "error: factor_poly_zx reconstruction failed\n")
+
     def test_engine_that_merges_factors_of_bivariate_input(self, capsys, monkeypatch):
         """The bivariate route has the same one check as the Z[X] routes, so
         a constant-primes oracle whose engine merges its first two factors

@@ -18,6 +18,7 @@ from locfactor.descent import (
 )
 from locfactor.errors import (
     DescentInconsistencyError,
+    MathDomainError,
     OracleViolationError,
     PreconditionError,
 )
@@ -190,6 +191,46 @@ class TestBrokenOracles:
 
         with pytest.raises(OracleViolationError, match="unit factor"):
             descend_factor(15, UnitFactor())
+
+    def test_zero_factor_detected(self, s2):
+        """a0 is nonzero, so a zero prime fraction fails the multiply-back
+        check before any prime fraction is read."""
+        class ZeroFactor(LocalizationOracle):
+            name = "zero-factor"
+            S = s2
+
+            def factor_fraction(self, x):
+                return embed(1, s2), (embed(0, s2), embed(15, s2))
+
+            def is_prime_embedded(self, r):
+                return True
+
+        with pytest.raises(OracleViolationError, match="multiply back"):
+            descend_factor(15, ZeroFactor())
+
+    def test_zero_is_refused_before_the_oracle_is_asked(self, s2):
+        class Untouchable(LocalizationOracle):
+            name = "untouchable"
+            S = s2
+
+            def factor_fraction(self, x):
+                raise AssertionError("the oracle was asked")
+
+        with pytest.raises(MathDomainError, match="^cannot factor zero$"):
+            descend_factor(0, Untouchable())
+
+    def test_miscounted_generator_detected(self):
+        """A strip that drops one power of each generator it divides out
+        leaves every other check satisfied: only the final multiply-back
+        check sees that the factorization misses a generator."""
+        class Miscounting(GeneratedSubmonoid):
+            def strip(self, a):
+                exps, rest = super().strip(a)
+                return tuple(max(e - 1, 0) for e in exps), rest
+
+        S = Miscounting(ZZ, [2])
+        with pytest.raises(DescentInconsistencyError):
+            descend_factor(12, BaseEngineOracle(S, factor_integer))
 
 
 class TestBaseEngineOracle:

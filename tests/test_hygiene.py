@@ -4,6 +4,7 @@ module-level function, class and constant and every class method is used, and
 no module imports a name it never uses."""
 
 import ast
+import json
 from collections import defaultdict
 from pathlib import Path
 
@@ -290,3 +291,52 @@ def test_each_direct_engine_is_named_in_the_route_table_alone():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_descend_checked"
     ]
     assert calls and [(len(c.args), c.keywords) for c in calls] == [(2, [])] * len(calls)
+
+
+# the uncached body of each direct engine, named ``_<engine>_uncached``
+ENGINE_BODIES = ("_factor_integer_uncached", "_kronecker_factor_uncached",
+                 "_factor_poly_zx_uncached", "_factor_bivariate_uncached")
+
+
+def _basefactor_functions():
+    return {node.name: node for node in _modules()["basefactor.py"].body if isinstance(node, ast.FunctionDef)}
+
+
+def test_engine_bodies_leave_the_unit_to_the_wrapper():
+    """An engine body returns the factors of a canonical input alone: it
+    neither splits off a unit nor builds a factorization."""
+    functions = _basefactor_functions()
+    assert set(ENGINE_BODIES) <= set(functions)
+    for body in ENGINE_BODIES:
+        assert {"canonical_associate", "PrimeFactorization"} & _references(functions[body]) == set(), body
+
+
+def test_each_direct_engine_is_one_memoized_call():
+    """Each direct engine is one ``return _memoized(engine, ring, body, p)``
+    on its own name and body, so the unit, the memo key and the checks are
+    the wrapper's alone."""
+    functions = _basefactor_functions()
+    for body in ENGINE_BODIES:
+        engine = functions[body[1 : -len("_uncached")]]
+        statements = [s for s in engine.body if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+        assert len(statements) == 1 and isinstance(statements[0], ast.Return), engine.name
+        call = statements[0].value
+        assert isinstance(call, ast.Call) and isinstance(call.func, ast.Name), engine.name
+        assert call.func.id == "_memoized" and len(call.args) == 4, engine.name
+        assert ast.literal_eval(call.args[0]) == engine.name and ast.unparse(call.args[2]) == body
+
+
+def test_each_mutant_source_occurs_once():
+    """``tests/run_mutants.py`` applies each mutant of ``tests/mutants.json``
+    by replacing one exact source text, so each must occur exactly once in
+    its file, and the test listed to kill it must be defined."""
+    mutants = json.loads((TESTS / "mutants.json").read_text())
+    assert mutants and len({m["name"] for m in mutants}) == len(mutants)
+    for m in mutants:
+        assert (TESTS.parent / m["file"]).read_text().count(m["source"]) == 1, m["name"]
+        assert m["replacement"] != m["source"], m["name"]
+        if m["killed_by"] is not None:
+            path, *names = m["killed_by"].split("[")[0].split("::")
+            tree = ast.parse((TESTS.parent / path).read_text())
+            defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            assert set(names) <= defined, m["name"]

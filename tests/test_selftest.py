@@ -7,7 +7,6 @@ import sys
 import pytest
 
 from locfactor import basefactor, selftest
-from locfactor.basefactor import PrimeFactorization
 from locfactor.errors import PreconditionError
 from locfactor.rings import ZX
 from locfactor.selftest import SUITES, run_selftest
@@ -53,11 +52,10 @@ def test_unsplit_engine_factor_is_caught(monkeypatch):
     worker = basefactor._kronecker_factor_uncached
 
     def unsplit(p):
-        pf = worker(p)
-        if len(pf.factors) < 2:
-            return pf
-        merged = ZX.mul(pf.factors[0], pf.factors[1])
-        return PrimeFactorization.of(ZX, pf.unit, (merged,) + pf.factors[2:])
+        factors = worker(p)
+        if len(factors) < 2:
+            return factors
+        return [ZX.mul(factors[0], factors[1])] + factors[2:]
 
     monkeypatch.setattr(basefactor, "_kronecker_factor_uncached", unsplit)
     report = run_selftest(seed=42, trials=20)
