@@ -820,10 +820,7 @@ def _factor_bivariate_uncached(f: Poly) -> list:
         )
     cont, pp = zxy_primitive(f)
     factors = []
-    if len(pp.coeffs) == 1:
-        if pp != ZXY.one:
-            raise OracleViolationError("primitive constant part is not one")
-    else:
+    if len(pp.coeffs) > 1:
         chunk = substitution_chunk(zxy_x_degree(pp))
         image = _pack(pp, chunk)
         if len(image.coeffs) - 1 > KRONECKER_DEGREE_CAP:

@@ -177,10 +177,6 @@ def descend_factor(a: Element, oracle: LocalizationOracle) -> DescentResult:
             check = frac_mul(check, f)
         if not frac_eq(check, embed(a0, S)):
             raise OracleViolationError("oracle factorization does not multiply back")
-        if not frac_is_unit(unit_frac):
-            raise DescentInconsistencyError(
-                "descent inconsistency: unit fraction does not strip to a unit"
-            )
         residuals = []
         for f in prime_fracs:
             _, r = S.strip(f.num)

@@ -19,14 +19,15 @@ oracle's ring, ``factor_poly_zx`` or the Y -> X^D substitution engine
 ``factor_bivariate``.  Zero and input over a cap are refused below this
 module, by the engines and ``descend_factor``.
 
-The fraction-field and bivariate routes are one construction, as in the
-paper: R[Y] localized at the constant primes of R and compared with
-Frac(R)[Y], for R = Z and R = Z[X].  ``ConstantPrimesOracle`` realizes its
-factorization once, by Gauss's lemma on R[Y]: it reads the answer of the
-direct engine of R[Y], whose constant factors are units of Frac(R)[Y] and
-whose other factors are its primes.  So each descent route asks only its
-ring's direct engine, and the fraction-field route ``factor_integer`` for
-the leading coefficient of the primitive part.
+The fraction-field and bivariate routes are one construction and one
+function, ``_fraction_field_route``, as in the paper: R[Y] localized at the
+constant primes of R and compared with Frac(R)[Y], for R = Z and R = Z[X].
+Its submonoid ``fracfield_submonoid`` holds the primes of the content and of
+the leading coefficient of the primitive part.  ``ConstantPrimesOracle``
+realizes its factorization once, by Gauss's lemma on R[Y]: it reads the
+answer of the direct engine of R[Y], whose constant factors are units of
+Frac(R)[Y] and whose other factors are its primes.  So the route asks only
+the direct engines of R[Y] and of R.
 
 Every oracle here implements ``factor_fraction`` alone; primality and
 divisibility in the localization are derived from it by
@@ -39,7 +40,6 @@ oracle at the powers of X, and ``ConstantPrimesOracle`` is described above.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from typing import NamedTuple, Optional
 
@@ -49,8 +49,6 @@ from .basefactor import (
     PrimeFactorization,
     check_factorization_unique,
     direct_engine,
-    factor_bivariate,
-    factor_integer,
     factor_poly_zx,
     request_memo,
 )
@@ -58,7 +56,7 @@ from .descent import DescentResult, LocalizationOracle, descend_factor
 from .descent import certify_prime  # unused; a benchmark test reads it (ROADMAP item 1)
 from .errors import OracleViolationError
 from .localization import LT, Fraction, GeneratedSubmonoid, embed, find_associate_generator
-from .rings import ZX, ZXY, Poly
+from .rings import ZX, ZXY, Poly, Ring
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +153,6 @@ def factor_laurent(f: Fraction) -> DescentResult:
     # no factor is X, so the unit is +-1; Z[X] order is Laurent order at T^0,
     # so the certificates stay aligned
     out = PrimeFactorization(LT.fraction((e,), pf.unit), tuple(embed(q, LT.S) for q in pf.factors))
-    if not LT.eq(out.value(LT), f):
-        raise OracleViolationError("factor_laurent reconstruction failed")
     return DescentResult(out, res.certificates)
 
 
@@ -167,14 +163,13 @@ class ConstantPrimesOracle(LocalizationOracle):
     """Localization of R[Y] at constant primes of R, compared with Frac(R)[Y]
     by Gauss's lemma on R[Y].
 
-    ``engine`` is the direct engine of R[Y].  By Gauss's lemma its
-    non-constant factors are the primes of Frac(R)[Y], so the prime fractions
-    need no denominators, and its constant factors are units there: they go
-    into the unit fraction, a unit of S^-1 R[Y] only if it strips to one.  A
-    constant is thus never prime here, and 3*X + 3 is not prime over <2>:
-    its unit fraction 3 does not strip to a unit.  The engine is passed in
-    rather than captured, so a caller that rebinds it by name is seen here
-    too.
+    ``engine`` is the direct engine of R[Y], which the route reads from
+    ``direct_engine``.  By Gauss's lemma its non-constant factors are the
+    primes of Frac(R)[Y], so the prime fractions need no denominators, and
+    its constant factors are units there: they go into the unit fraction, a
+    unit of S^-1 R[Y] only if it strips to one.  A constant is thus never
+    prime here, and 3*X + 3 is not prime over <2>: its unit fraction 3 does
+    not strip to a unit.
     """
 
     def __init__(self, S: GeneratedSubmonoid, name: str, engine):
@@ -189,44 +184,43 @@ class ConstantPrimesOracle(LocalizationOracle):
         return (Fraction(self.S.ring.prod([pf.unit, *constants]), x.den), primes)
 
 
-def fracfield_submonoid(f: Poly) -> GeneratedSubmonoid:
-    """Constant primes participating in f's fraction-field factorization.
+def fracfield_submonoid(ring: Ring, f: Poly) -> GeneratedSubmonoid:
+    """Constant primes participating in f's factorization over Frac(R)[Y],
+    for ``ring`` = R[Y].
 
     The full submonoid of the construction is generated by all constant
     primes; only finitely many can occur for a fixed input, so the generators
     are the primes of the content and of the leading coefficient.  These also
-    cover the denominators of the monic Q[X] factors: each is the leading
-    coefficient of a primitive integer factor, which divides the leading
-    coefficient of the primitive part.  Both are read off the direct
-    engine's answer, whose caps refuse before any integer is factored: the
-    content primes are its constant factors, and the primitive part's
-    leading coefficient is the product of the others'.
+    cover the denominators of the monic Frac(R)[Y] factors: each is the
+    leading coefficient of a primitive factor, which divides the leading
+    coefficient of the primitive part.  Both are read off the answer of
+    R[Y]'s direct engine, whose caps refuse before any constant is factored:
+    the content primes are its constant factors, and the primitive part's
+    leading coefficient is the product of the others', factored by R's
+    direct engine.
     """
-    pf = factor_poly_zx(f)
+    pf = direct_engine(ring)(f)
     content = [q for q in pf.factors if len(q.coeffs) == 1]
-    lead = factor_integer(math.prod(q.coeffs[-1] for q in pf.factors if len(q.coeffs) > 1)).factors
-    return GeneratedSubmonoid(ZX, content + [ZX.constant(p) for p in lead])
+    lead = ring.coeff.prod(q.coeffs[-1] for q in pf.factors if len(q.coeffs) > 1)
+    return GeneratedSubmonoid(ring, content + [ring.constant(p) for p in direct_engine(ring.coeff)(lead).factors])
+
+
+def _fraction_field_route(ring: Ring, name: str, f: Poly) -> DescentResult:
+    """Descend a factorization over ``ring`` = R[Y] from Frac(R)[Y], named
+    ``name``, through the constant primes of R."""
+    with request_memo():
+        return _descend_checked(f, ConstantPrimesOracle(fracfield_submonoid(ring, f), name, direct_engine(ring)))
 
 
 def factor_zx_via_fraction_field(f: Poly) -> DescentResult:
     """Descend a Z[X] factorization from Q[X] through the constant primes."""
-    with request_memo():
-        oracle = ConstantPrimesOracle(fracfield_submonoid(f), "Q[X] factorization", factor_poly_zx)
-        return _descend_checked(f, oracle)
-
-
-def iterated_submonoid(f: Poly) -> GeneratedSubmonoid:
-    """Constant primes of Z[X] dividing the coefficient content of f: the
-    factors of Y-degree 0 in the direct engine's answer."""
-    return GeneratedSubmonoid(ZXY, [q for q in factor_bivariate(f).factors if len(q.coeffs) == 1])
+    return _fraction_field_route(ZX, "Q[X] factorization", f)
 
 
 def factor_iterated(f: Poly) -> DescentResult:
     """Factor over Z[X][Y] by descent from Frac(Z[X])[Y] through the
     constant primes of Z[X], the fraction-field route at R = Z[X]."""
-    with request_memo():
-        oracle = ConstantPrimesOracle(iterated_submonoid(f), "Frac(Z[X])[Y] factorization", factor_bivariate)
-        return _descend_checked(f, oracle)
+    return _fraction_field_route(ZXY, "Frac(Z[X])[Y] factorization", f)
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,12 @@ class TestUniqueness:
                 ZZ, PrimeFactorization(1, (1,)), PrimeFactorization(1, (1,))
             )
 
+    def test_rejects_nonunit_unit_slot(self):
+        # 2 is no unit of Z[X]: without the check both sides would agree
+        pf = PrimeFactorization(ZX.from_int(2), ())
+        with pytest.raises(PreconditionError, match="unit slot"):
+            check_factorization_unique(ZX, pf, pf)
+
     def test_compares_canonical_forms_without_multiplying_back(self, monkeypatch):
         """The units split off by the canonical associates are folded into
         each side's unit: with equal normals, the values agree exactly when

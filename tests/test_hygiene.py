@@ -255,9 +255,8 @@ def test_routes_ask_only_the_engines():
     primitive polynomials alone."""
     allowed = {
         "basefactor": {"PrimeFactorization", "ROUTE_TABLE", "check_factorization_unique",
-                       "direct_engine", "factor_bivariate", "factor_integer", "factor_poly_zx",
-                       "request_memo"},
-        "rings": {"ZX", "ZXY", "Poly"},
+                       "direct_engine", "factor_poly_zx", "request_memo"},
+        "rings": {"ZX", "ZXY", "Poly", "Ring"},
     }
     extra = {
         f"{node.module}.{alias.name}"
@@ -293,9 +292,38 @@ def test_each_direct_engine_is_named_in_the_route_table_alone():
     assert calls and [(len(c.args), c.keywords) for c in calls] == [(2, [])] * len(calls)
 
 
+
+def test_one_fraction_field_route_for_every_ring():
+    """The fraction-field route is one construction at R = Z and at
+    R = Z[X]: each ``fracfield`` entry of ``ROUTE_TABLE`` names a function
+    that is one call of ``_fraction_field_route``, the one function that
+    builds a ``ConstantPrimesOracle``, over the one submonoid
+    ``fracfield_submonoid`` (the bivariate copy ``iterated_submonoid`` is
+    gone)."""
+    from locfactor.basefactor import ROUTE_TABLE
+
+    tree = _modules()["routes.py"]
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "iterated_submonoid" not in functions
+    named = [route.function for row in ROUTE_TABLE.values() for route in row.descents if route.choice == "fracfield"]
+    assert len(named) == 2
+    for name in named:
+        statements = _statements(functions[name])
+        assert len(statements) == 1 and isinstance(statements[0], ast.Return), name
+        call = statements[0].value
+        assert isinstance(call, ast.Call) and ast.unparse(call.func) == "_fraction_field_route", name
+    builders = [name for name, node in functions.items() if "ConstantPrimesOracle" in _references(node)]
+    assert builders == ["_fraction_field_route"]
+
+
 # the uncached body of each direct engine, named ``_<engine>_uncached``
 ENGINE_BODIES = ("_factor_integer_uncached", "_kronecker_factor_uncached",
                  "_factor_poly_zx_uncached", "_factor_bivariate_uncached")
+
+
+def _statements(function):
+    """A function's statements, its docstring left out."""
+    return [s for s in function.body if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
 
 
 def _basefactor_functions():
@@ -318,7 +346,7 @@ def test_each_direct_engine_is_one_memoized_call():
     functions = _basefactor_functions()
     for body in ENGINE_BODIES:
         engine = functions[body[1 : -len("_uncached")]]
-        statements = [s for s in engine.body if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+        statements = _statements(engine)
         assert len(statements) == 1 and isinstance(statements[0], ast.Return), engine.name
         call = statements[0].value
         assert isinstance(call, ast.Call) and isinstance(call.func, ast.Name), engine.name

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from locfactor import routes
+from locfactor import basefactor, expr, routes
 from locfactor.basefactor import check_factorization_unique, factor_bivariate
 from locfactor.cli import main
 from locfactor.errors import DeskScaleError, MathDomainError
@@ -20,7 +20,6 @@ from locfactor.routes import (
     factor_zx_via_fraction_field,
     factor_zx_via_laurent,
     fracfield_submonoid,
-    iterated_submonoid,
 )
 from locfactor.selftest import rand_bivariate_feasible, rand_zx
 
@@ -101,28 +100,28 @@ class TestFractionFieldRoute:
         assert res.certificates[0].case == "localization"
 
     def test_submonoid_prepass(self):
-        S = fracfield_submonoid(ZX.make([3, 2]))  # 2X + 3: leading coefficient 2
+        S = fracfield_submonoid(ZX, ZX.make([3, 2]))  # 2X + 3: leading coefficient 2
         assert ZX.from_int(2) in S.generators
         res = factor_zx_via_fraction_field(ZX.make([3, 2]))
         assert res.factorization.factors == (ZX.make([3, 2]),)
 
     def test_monic_denominators_join_submonoid(self):
         # 2X + 1 is irreducible; its monic form X + 1/2 clears with denominator 2
-        S = fracfield_submonoid(ZX.make([1, 2]))
+        S = fracfield_submonoid(ZX, ZX.make([1, 2]))
         assert ZX.from_int(2) in S.generators
         res = factor_zx_via_fraction_field(ZX.make([1, 2]))
         assert res.factorization.factors == (ZX.make([1, 2]),)
         # (2X + 1)(3X + 1): the monic factors' denominators 2 and 3 are the
         # primes of the leading coefficient 6, in that order
-        S = fracfield_submonoid(ZX.make([1, 5, 6]))
+        S = fracfield_submonoid(ZX, ZX.make([1, 5, 6]))
         assert S.generators == (ZX.from_int(2), ZX.from_int(3))
         # -10(2X + 1)(3X + 1): the content primes come first, then the
         # leading coefficient's new ones
-        S = fracfield_submonoid(ZX.make([-10, -50, -60]))
+        S = fracfield_submonoid(ZX, ZX.make([-10, -50, -60]))
         assert S.generators == (ZX.from_int(2), ZX.from_int(5), ZX.from_int(3))
 
     def test_empty_generator_set(self):
-        S = fracfield_submonoid(ZX.make([-1, 0, 1]))
+        S = fracfield_submonoid(ZX, ZX.make([-1, 0, 1]))
         assert S.generators == ()
         res = factor_zx_via_fraction_field(ZX.make([-1, 0, 1]))
         assert res.factorization.factors == (ZX.make([-1, 1]), ZX.make([1, 1]))
@@ -157,41 +156,62 @@ class TestIteratedRoute:
 
     def test_empty_generator_set(self):
         f = ZXY.make([ZX.make([1, 1]), ZX.one])  # Y + X + 1, unit content
-        S = iterated_submonoid(f)
+        S = fracfield_submonoid(ZXY, f)
         assert S.generators == ()
         res = factor_iterated(f)
         assert res.factorization.factors == (f,)
 
+    def test_leading_coefficient_primes_join_submonoid(self):
+        """As over Z, the primes of the primitive part's leading coefficient
+        are generators: here 4X, by the direct engine of Z[X]."""
+        f = expr.parse_in_ring("4*X*Y + 5*X - 3", ZXY)
+        assert fracfield_submonoid(ZXY, f).generators == (ZXY.from_int(2), ZXY.constant(ZX.gen))
+        res = factor_iterated(f)
+        assert res.factorization.factors == (f,)
+        assert [c.detail() for c in res.certificates] == ["avoids <2, X>; prime in Frac(Z[X])[Y] factorization"]
+
+    def test_nonconstant_generators_replay(self):
+        # 6(X+1)(X*Y+1)(2*X*Y+X+1): content 6(X+1), leading coefficient 2X^2
+        f = expr.parse_in_ring("6*(X+1)*(X*Y+1)*(2*X*Y+X+1)", ZXY)
+        S = fracfield_submonoid(ZXY, f)
+        assert [expr.render(ZXY, g) for g in S.generators] == ["2", "3", "X + 1", "X"]
+        res = factor_iterated(f)
+        assert ZXY.eq(res.factorization.value(ZXY), f)
+        assert [c.case for c in res.certificates] == ["generator"] * 3 + ["localization"] * 2
+        assert all(c.replay() for c in res.certificates)
+
 
 class TestOracleEngineBinding:
-    """The constant-primes oracle calls the engine the route passes from the
-    ``routes`` namespace, so a wrapper bound there by name (as a tracer
-    installs one) sees every oracle call into the engine.  The route's check
-    against the direct engine reads it from ``basefactor.ROUTE_TABLE``, and
-    so goes through ``basefactor``'s binding instead."""
+    """The constant-primes route reads its ring's engine through
+    ``direct_engine``, which looks it up in ``basefactor`` by name when
+    called, so a wrapper bound there (as a tracer installs one) sees every
+    call into the engine: the submonoid's, the generators' irreducibility
+    tests, the oracle's and the route's check against the direct engine."""
 
     @staticmethod
     def _count_callers(monkeypatch, name):
         callers = Counter()
-        original = getattr(routes, name)
+        original = getattr(basefactor, name)
 
         def counting(*args):
             callers[sys._getframe(1).f_code.co_name] += 1
             return original(*args)
 
-        monkeypatch.setattr(routes, name, counting)
+        monkeypatch.setattr(basefactor, name, counting)
         return callers
 
     def test_fraction_field_route(self, monkeypatch):
         callers = self._count_callers(monkeypatch, "factor_poly_zx")
         factor_zx_via_fraction_field(ZX.make([-2, 0, 2]))  # 2(X-1)(X+1)
-        assert callers == Counter({"fracfield_submonoid": 1, "factor_fraction": 3})
+        assert callers == Counter({"fracfield_submonoid": 1, "is_irreducible": 1, "factor_fraction": 3,
+                                   "_descend_checked": 1})
 
     def test_iterated_route(self, monkeypatch):
         callers = self._count_callers(monkeypatch, "factor_bivariate")
         x2 = ZX.make([0, 0, 2])
         factor_iterated(ZXY.make([ZX.neg(x2), ZX.zero, x2]))  # 2X^2(Y-1)(Y+1)
-        assert callers == Counter({"iterated_submonoid": 1, "factor_fraction": 3})
+        assert callers == Counter({"fracfield_submonoid": 1, "is_irreducible": 2, "factor_fraction": 3,
+                                   "_descend_checked": 1})
 
 
 class TestCompareRoutes:
